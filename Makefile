@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test lint vet race bench
+.PHONY: build test lint vet race bench perfbench
 
 build:
 	go build ./...
@@ -23,3 +23,7 @@ vet:
 
 bench:
 	go test -run=NONE -bench=. -benchtime=1x ./...
+
+# The benchmark module (its own go.mod); CI's lint-build job runs the same.
+perfbench:
+	cd perfbench && go vet ./... && go test ./...

@@ -11,7 +11,6 @@
 //	datawa-bench -suite -scales 1 -transports json,stream -json=BENCH_ci.json -compare BENCH_10.json
 //	datawa-bench -suite -scales 1 -methods SSP -samples 8 -cvar-alpha 0.5 -json=-
 //	datawa-bench -suite -scales 1 -shards 4 -max-gap 0.01 -json=-
-//	datawa-bench -suite -incremental=false -json=BENCH_full_replan.json
 //	datawa-bench -validate BENCH_10.json
 //
 // Experiment mode (-run) regenerates the tables and figures of the paper's
@@ -82,7 +81,6 @@ func main() {
 		transports = flag.String("transports", "json,stream", "suite mode: comma-separated live-path ingest transports (json = per-event, stream = batched binary wire frames)")
 		shards     = flag.Int("shards", 2, "suite mode: live-path dispatcher shard count")
 		halo       = flag.Float64("halo", 0, "suite mode: cross-shard handoff radius in km (0 = auto from worker reach, negative = disable)")
-		increment  = flag.Bool("incremental", true, "suite mode: live-path incremental epoch replanning (plans are identical either way)")
 		step       = flag.Float64("step", 2, "suite mode: planning epoch length in seconds")
 		compare    = flag.String("compare", "", "suite mode: baseline BENCH_*.json; fail on >10% assignment-rate drops or epoch-p95 growth beyond -p95-tolerance")
 		p95Tol     = flag.Float64("p95-tolerance", compareP95Tolerance, "suite mode: relative live epoch-p95 growth -compare accepts (0 disables the latency gate; cross-host nightlies run wider than the default)")
@@ -128,8 +126,7 @@ func main() {
 			scenarios: *scenarios, scales: *scales, methods: *methods,
 			transports: *transports,
 			shards:     *shards, halo: *halo, step: *step, parallel: *parallel,
-			incremental: *increment, p95Tol: *p95Tol,
-			samples: *samples, cvarAlpha: *cvarAlpha,
+			p95Tol: *p95Tol, samples: *samples, cvarAlpha: *cvarAlpha,
 			jsonPath: jsonPath.resolve(suiteJSONDefault), compare: *compare, maxGap: *maxGap,
 		})
 	default:
@@ -154,7 +151,6 @@ type suiteOptions struct {
 	halo                       float64
 	step                       float64
 	parallel                   int
-	incremental                bool
 	p95Tol                     float64
 	samples                    int
 	cvarAlpha                  float64
@@ -166,16 +162,15 @@ type suiteOptions struct {
 // against a baseline snapshot and against the per-cell fidelity-gap bound.
 func runSuite(so suiteOptions) {
 	opts := benchsuite.Options{
-		Scenarios:          splitList(so.scenarios),
-		Methods:            splitList(so.methods),
-		Transports:         splitList(so.transports),
-		Shards:             so.shards,
-		HaloRadius:         so.halo,
-		Step:               so.step,
-		Parallelism:        so.parallel,
-		DisableIncremental: !so.incremental,
-		Samples:            so.samples,
-		CVaRAlpha:          so.cvarAlpha,
+		Scenarios:   splitList(so.scenarios),
+		Methods:     splitList(so.methods),
+		Transports:  splitList(so.transports),
+		Shards:      so.shards,
+		HaloRadius:  so.halo,
+		Step:        so.step,
+		Parallelism: so.parallel,
+		Samples:     so.samples,
+		CVaRAlpha:   so.cvarAlpha,
 	}
 	// Validate -methods up front against the live registry, so a typo fails
 	// in milliseconds with the current method names instead of mid-suite.

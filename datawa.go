@@ -477,12 +477,6 @@ type DispatchConfig struct {
 	QueueSize int
 	// LatencyWindow sizes the epoch-latency percentile window (default 1024).
 	LatencyWindow int
-	// DisableIncremental turns off incremental epoch replanning. By default
-	// each shard's planner reuses the plans of quiet pool regions across
-	// epochs (byte-identical to full replanning; see
-	// dispatch.Config.DisableIncremental); incremental requires a non-empty
-	// Config.Region and is unavailable under MethodFTA either way.
-	DisableIncremental bool
 	// Admission bounds the ingest path (shed/defer by deadline when
 	// saturated); the zero value admits everything. See
 	// dispatch.AdmissionConfig.
@@ -522,26 +516,24 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 		return nil, fmt.Errorf("datawa: %d shards require a non-empty Config.Region", dc.Shards)
 	}
 	cfg := dispatch.Config{
-		Shards:             dc.Shards,
-		HaloRadius:         dc.HaloRadius,
-		Step:               dc.Step,
-		Now:                dc.Now,
-		QueueSize:          dc.QueueSize,
-		LatencyWindow:      dc.LatencyWindow,
-		DisableIncremental: dc.DisableIncremental,
-		Admission:          dc.Admission,
-		Governor:           dc.Governor,
-		TraceDepth:         dc.TraceDepth,
-		Obs:                dc.Obs,
-		Travel:             f.travel,
-		Parallelism:        f.cfg.Parallelism,
+		Shards:        dc.Shards,
+		HaloRadius:    dc.HaloRadius,
+		Step:          dc.Step,
+		Now:           dc.Now,
+		QueueSize:     dc.QueueSize,
+		LatencyWindow: dc.LatencyWindow,
+		Admission:     dc.Admission,
+		Governor:      dc.Governor,
+		TraceDepth:    dc.TraceDepth,
+		Obs:           dc.Obs,
+		Travel:        f.travel,
+		Parallelism:   f.cfg.Parallelism,
 	}
 	if cfg.Step <= 0 {
 		cfg.Step = f.cfg.Step
 	}
-	// The grid feeds shard ownership (Shards > 1) and the incremental
-	// replanner's dirty-cell partition (any shard count); a framework without
-	// a region can only run single-shard, full-replan dispatch.
+	// The grid feeds shard ownership; a framework without a region can only
+	// run single-shard dispatch.
 	if f.cfg.Region.Width() > 0 && f.cfg.Region.Height() > 0 {
 		cfg.Grid = f.grid()
 	}
@@ -577,13 +569,6 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 			return &assign.SSP{Opts: opts, Samples: f.cfg.Samples, CVaRAlpha: f.cfg.CVaRAlpha}
 		}
 		cfg.Forecast = f.sampledForecaster()
-		// Incremental replanning caches the plans of quiet empty components,
-		// which is sound only when a component's plan emptiness depends on
-		// the pool alone. SSP's CVaR fold can flip a component between empty
-		// and non-empty across instants with an unchanged pool (a worst-case
-		// scenario tie breaking the other way), so the cache could splice a
-		// stale empty plan. Force full replanning for this method.
-		cfg.DisableIncremental = true
 	default:
 		return nil, fmt.Errorf("datawa: unknown method %q (methods: %s)", m, methodList())
 	}

@@ -30,12 +30,6 @@ import (
 // When the pool carries no scenario-tagged virtuals (K = 1, or a sampler-free
 // forecast) every scenario is identical, so SSP runs exactly one inner search
 // and is byte-identical to point-forecast planning.
-//
-// An SSP must not be wrapped by Incremental: the empty-component cache
-// assumes a component's plan emptiness is planner-state-independent, but an
-// SSP plan for a component can flip between empty and non-empty as the
-// CVaR fold breaks ties differently across instants. The datawa façade
-// forces full replanning for the SSP method.
 type SSP struct {
 	Opts Options
 	// Samples is the scenario count K the sampler was configured with

@@ -54,11 +54,14 @@ import (
 // scenario-sampling method (SSP): its cells echo the sampling configuration
 // (samples, cvar_alpha) alongside the method tag, and reports echo the
 // Samples and CVaRAlpha options; cells of the other methods are unchanged,
-// so pre-v6 baselines keep gating them.
-const Schema = "datawa-bench-suite/6"
+// so pre-v6 baselines keep gating them. Version 7 removed incremental
+// replanning: cells no longer carry incremental_hits/components_replanned
+// and reports no longer echo incremental. Older snapshots still load — the
+// decoder ignores the dropped fields — and keep gating as baselines.
+const Schema = "datawa-bench-suite/7"
 
 // legacySchemas are older wire formats Validate still accepts.
-var legacySchemas = []string{"datawa-bench-suite/5", "datawa-bench-suite/4", "datawa-bench-suite/3", "datawa-bench-suite/2", "datawa-bench-suite/1"}
+var legacySchemas = []string{"datawa-bench-suite/6", "datawa-bench-suite/5", "datawa-bench-suite/4", "datawa-bench-suite/3", "datawa-bench-suite/2", "datawa-bench-suite/1"}
 
 // schemaV1 is the oldest format, which predates the fidelity_gap field.
 const schemaV1 = "datawa-bench-suite/1"
@@ -101,11 +104,6 @@ type Options struct {
 	// (0 = auto from worker reach, negative = disable ghost replication);
 	// see dispatch.Config.HaloRadius.
 	HaloRadius float64
-	// DisableIncremental turns off the live path's incremental epoch
-	// replanning (dispatch.Config.DisableIncremental). Assignment outcomes
-	// are identical either way; only epoch cost and the reuse counters
-	// change.
-	DisableIncremental bool
 	// Parallelism bounds planner fan-out (0 = one goroutine per CPU).
 	Parallelism int
 	// MaxNodes caps exact-search effort per planning call (default 4000).
@@ -159,8 +157,8 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	OS        string `json:"os"`
 	Arch      string `json:"arch"`
-	// Scenarios, Scales, Methods, Step, Shards, HaloRadius, Incremental and
-	// Parallelism echo the options that produced the report. Scenarios
+	// Scenarios, Scales, Methods, Step, Shards, HaloRadius and Parallelism
+	// echo the options that produced the report. Scenarios
 	// arrived with schema v3; Compare falls back to the result set's
 	// scenario names for older reports.
 	Scenarios   []string  `json:"scenarios,omitempty"`
@@ -170,7 +168,6 @@ type Report struct {
 	Step        float64   `json:"step_seconds"`
 	Shards      int       `json:"shards"`
 	HaloRadius  float64   `json:"halo_radius_km"`
-	Incremental bool      `json:"incremental"`
 	Parallelism int       `json:"parallelism"`
 	// Samples and CVaRAlpha echo the SSP sampling options (schema v6);
 	// absent when no SSP cells were requested.
@@ -264,11 +261,6 @@ type Path struct {
 	EpochP50NS int64 `json:"epoch_p50_ns,omitempty"`
 	EpochP95NS int64 `json:"epoch_p95_ns,omitempty"`
 	EpochP99NS int64 `json:"epoch_p99_ns,omitempty"`
-	// IncrementalHits and ComponentsReplanned are the live path's
-	// incremental-replanning reuse counters (dispatch.Metrics); live-path
-	// only, zero when incremental replanning is disabled.
-	IncrementalHits     int64 `json:"incremental_hits,omitempty"`
-	ComponentsReplanned int64 `json:"components_replanned,omitempty"`
 	// Cancelled, Shed and Deferred are the live path's remaining terminal
 	// and backpressure outcomes (dispatch.Metrics): on an overload cell
 	// assigned + expired + cancelled + shed == tasks exactly after the
@@ -302,7 +294,6 @@ func Run(opts Options) (*Report, error) {
 		Step:        opts.Step,
 		Shards:      opts.Shards,
 		HaloRadius:  opts.HaloRadius,
-		Incremental: !opts.DisableIncremental,
 		Parallelism: opts.Parallelism,
 	}
 	for _, m := range opts.Methods {
@@ -437,7 +428,6 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 	}
 	dc := datawa.DispatchConfig{
 		Shards: opts.Shards, HaloRadius: opts.HaloRadius, Step: opts.Step, Now: sc.T0,
-		DisableIncremental: opts.DisableIncremental,
 	}
 	if arch.Overload != nil {
 		cell.Overload = true
@@ -497,9 +487,6 @@ func runCell(arch scenario.Archetype, sc *datawa.Scenario, f float64, m datawa.M
 		EpochP50NS:     met.EpochP50.Nanoseconds(),
 		EpochP95NS:     met.EpochP95.Nanoseconds(),
 		EpochP99NS:     met.EpochP99.Nanoseconds(),
-
-		IncrementalHits:     met.IncrementalHits,
-		ComponentsReplanned: met.ComponentsReplanned,
 
 		Cancelled:      met.Cancelled,
 		Shed:           met.Shed,

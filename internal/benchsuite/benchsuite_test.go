@@ -1,6 +1,9 @@
 package benchsuite
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -203,6 +206,33 @@ func TestValidateAcceptsLegacySchema(t *testing.T) {
 	v2.Schema = legacySchemas[0]
 	if err := v2.Validate(); err != nil {
 		t.Fatalf("legacy v2 schema must validate: %v", err)
+	}
+}
+
+// TestCommittedSnapshotsValidate loads every BENCH_*.json committed at the
+// repository root — the trajectory snapshots -compare uses as baselines —
+// and holds each to Validate under its own (current or legacy) schema.
+func TestCommittedSnapshotsValidate(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no BENCH_*.json snapshots at the repository root")
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r Report
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Errorf("%s: %v", filepath.Base(p), err)
+			continue
+		}
+		if err := r.Validate(); err != nil {
+			t.Errorf("%s: %v", filepath.Base(p), err)
+		}
 	}
 }
 

@@ -277,3 +277,56 @@ func TestHandoffDeterministicAcrossParallelism(t *testing.T) {
 		}
 	}
 }
+
+// fineGridConfig is the handoff geometry on a finer 8×8 grid (0.5 km cells
+// over [0,4)²), so ownership bands and halo queries resolve at sub-shard
+// granularity.
+func fineGridConfig() Config {
+	cfg := handoffConfig(2, 0)
+	cfg.Grid = geo.NewGrid(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 8, 8)
+	return cfg
+}
+
+// TestArbitrationRetractionLateOnlineCancel drives a cross-shard commit
+// conflict whose loser is retracted mid-epoch (its resumed plan falls
+// through to a fallback task in its own shard), an unreachable task that is
+// served only once a late worker onlines next to it, and a heartbeat move
+// plus a cancel of an open task — every pool change the epoch's full replan
+// must see.
+func TestArbitrationRetractionLateOnlineCancel(t *testing.T) {
+	d := New(fineGridConfig())
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			d.Tick()
+		}
+	}
+	// A task no worker can reach yet.
+	d.SubmitTask(&core.Task{ID: 20, Loc: geo.Point{X: 3.5, Y: 0.5}, Pub: 0, Exp: 3000, Cell: -1})
+	// The boundary conflict: both workers commit task 10 through the halo,
+	// arbitration retracts the farther one (worker 1), whose resumed plan
+	// falls through to the fallback task 11 deep in its own shard.
+	d.WorkerOnline(&core.Worker{ID: 1, Loc: geo.Point{X: 1, Y: 1.9}, Reach: 0.8, On: 0, Off: 4000})
+	d.WorkerOnline(&core.Worker{ID: 2, Loc: geo.Point{X: 1, Y: 2.2}, Reach: 0.8, On: 0, Off: 4000})
+	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
+	d.SubmitTask(&core.Task{ID: 11, Loc: geo.Point{X: 1, Y: 1.3}, Pub: 0, Exp: 600, Cell: -1})
+	step(4)
+	// A worker onlines within reach of task 20.
+	d.WorkerOnline(&core.Worker{ID: 3, Loc: geo.Point{X: 3.4, Y: 0.6}, Reach: 0.5, On: d.Now(), Off: 4000})
+	step(4)
+	// Heartbeat-move a worker across the map, then cancel a fresh task
+	// before anyone reaches it.
+	d.Heartbeat(2, geo.Point{X: 2.0, Y: 3.5})
+	d.SubmitTask(&core.Task{ID: 30, Loc: geo.Point{X: 0.5, Y: 3.5}, Pub: d.Now(), Exp: d.Now() + 400, Cell: -1})
+	step(2)
+	d.CancelTask(30)
+	step(30)
+
+	m := d.Snapshot()
+	if m.Retractions == 0 {
+		t.Fatal("scenario produced no retraction; the adversarial case is not exercised")
+	}
+	if m.Assigned != 3 || m.Expired != 0 || m.Cancelled != 1 {
+		t.Fatalf("assigned/expired/cancelled = %d/%d/%d, want 3/0/1 (tasks 10, 11, 20 served; 30 cancelled)",
+			m.Assigned, m.Expired, m.Cancelled)
+	}
+}

@@ -47,13 +47,7 @@ import (
 // so a point outside the region reaches only the cells its disk truly
 // overlaps (unlike Grid.CellOf, which clamps).
 func CellsInDisk(g geo.Grid, p geo.Point, r float64) []int {
-	return AppendCellsInDisk(nil, g, p, r)
-}
-
-// AppendCellsInDisk is CellsInDisk appending into dst, so per-worker loops
-// (the incremental planner's partition, dirty-disk marking) can reuse one
-// buffer across calls instead of allocating a fresh slice per disk query.
-func AppendCellsInDisk(dst []int, g geo.Grid, p geo.Point, r float64) []int {
+	var dst []int
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 1) {
 		if math.IsInf(r, 1) {
 			for i := 0; i < g.Cells(); i++ {

@@ -43,18 +43,6 @@ type MachineConfig struct {
 	// lifecycle ledger; ghost replicas are never logged (their lifecycle is
 	// accounted by the owning shard). Off by default.
 	TrackDisposals bool
-	// DirtyGrid, when non-degenerate, makes the machine track the set of
-	// grid cells touched by pool changes between planning instants — task
-	// arrivals, expiries, cancels, ghost routing and drops, commits, worker
-	// admissions/departures/heartbeat moves, completed motions, commit
-	// retractions, and virtual-task refreshes. Worker-side changes mark the
-	// worker's whole reachability disk (the cells its position change can
-	// affect); task-side changes mark the task's cell. The dirty set is
-	// handed to a planner implementing assign.DirtyPlanner
-	// (assign.Incremental) at each planning instant and cleared afterwards,
-	// enabling incremental replanning; with a plain Planner, or under FTA
-	// semantics (Fixed), the field is ignored and no tracking cost is paid.
-	DirtyGrid geo.Grid
 }
 
 func (c MachineConfig) withDefaults() MachineConfig {
@@ -103,12 +91,6 @@ type workerState struct {
 	plan core.Sequence
 	// fixed marks an FTA worker that has received its one plan.
 	fixed bool
-	// entered marks that the worker has reached a planning instant while
-	// available. A worker admitted with a future On is dirty-marked at
-	// admission, but that mark is consumed by intervening instants; the
-	// first available instant must re-mark its disk or a cached quiet
-	// component could shadow the tasks it just became able to take.
-	entered bool
 }
 
 // pos returns the worker's position at time t.
@@ -154,17 +136,10 @@ type Machine struct {
 	commits []Commit
 	// Disposal log, populated only when cfg.TrackDisposals is set.
 	disposals []Disposal
-	// Dirty-cell tracking (MachineConfig.DirtyGrid): dp is the planner's
-	// incremental interface when active, dirty the cells touched since the
-	// last planner invocation. The set is cleared only after a planner call —
-	// planning instants with no plannable worker leave it accumulating.
-	dp    assign.DirtyPlanner
-	dirty map[int]struct{}
 
 	// Per-Step scratch, reused so a steady-state Step allocates only what it
 	// publishes (plans, commit logs). The machine is single-goroutine, so one
 	// set of buffers suffices.
-	cellScratch []int
 	planScratch []*workerState
 	wsScratch   []*core.Worker
 	poolScratch []*core.Task
@@ -206,47 +181,13 @@ func (m *Machine) TakeDisposals() []Disposal {
 //
 //datawa:locked(Machine) the constructor owns the fresh value
 func NewMachine(cfg MachineConfig) *Machine {
-	m := &Machine{
+	return &Machine{
 		cfg:          cfg.withDefaults(),
 		byWorker:     make(map[int]*workerState),
 		open:         make(map[int]*core.Task),
 		reserved:     make(map[int]bool),
 		ghost:        make(map[int]bool),
 		lastForecast: math.Inf(-1),
-	}
-	// Dirty tracking requires a grid, an incremental-capable planner, and
-	// adaptive semantics: FTA's locked plans and reserved-task pool filtering
-	// change membership without pool events, so incremental reuse would be
-	// unsound there — the wrapper is simply bypassed.
-	if m.cfg.DirtyGrid.Cells() > 0 && !m.cfg.Fixed {
-		if dp, ok := m.cfg.Planner.(assign.DirtyPlanner); ok {
-			m.dp = dp
-			m.dirty = make(map[int]struct{})
-		}
-	}
-	return m
-}
-
-// markCell records a task-side pool change: the cell of the task's (clamped)
-// location joins the dirty set.
-func (m *Machine) markCell(p geo.Point) {
-	if m.dp != nil {
-		m.dirty[m.cfg.DirtyGrid.CellOf(p)] = struct{}{}
-	}
-}
-
-// markDisk records a worker-side change: every cell the worker's
-// reachability disk can influence joins the dirty set, so any cached
-// component whose tasks the worker could newly reach (or stop shadowing) is
-// invalidated. The geometry matches assign.WorkerCells — the partition and
-// the invalidation must see identical cell sets.
-func (m *Machine) markDisk(p geo.Point, reach float64) {
-	if m.dp == nil {
-		return
-	}
-	m.cellScratch = assign.AppendWorkerCells(m.cellScratch[:0], m.cfg.DirtyGrid, p, reach)
-	for _, c := range m.cellScratch {
-		m.dirty[c] = struct{}{}
 	}
 }
 
@@ -265,7 +206,6 @@ func (m *Machine) AddWorker(w *core.Worker, now float64) bool {
 	ws := &workerState{w: &cp}
 	m.active = append(m.active, ws)
 	m.byWorker[cp.ID] = ws
-	m.markDisk(cp.Loc, cp.Reach)
 	return true
 }
 
@@ -293,7 +233,6 @@ func (m *Machine) AddTask(s *core.Task, now float64) bool {
 	}
 	m.open[s.ID] = s
 	m.openOrder = append(m.openOrder, s)
-	m.markCell(s.Loc)
 	return true
 }
 
@@ -314,7 +253,6 @@ func (m *Machine) AddGhost(s *core.Task, now float64) bool {
 	m.open[s.ID] = s
 	m.openOrder = append(m.openOrder, s)
 	m.ghost[s.ID] = true
-	m.markCell(s.Loc)
 	return true
 }
 
@@ -331,7 +269,6 @@ func (m *Machine) DropTask(id int) bool {
 	delete(m.open, s.ID)
 	delete(m.reserved, s.ID)
 	delete(m.ghost, s.ID)
-	m.markCell(s.Loc)
 	return true
 }
 
@@ -359,11 +296,6 @@ func (m *Machine) RetractCommit(workerID, taskID int, now float64) bool {
 	ws.w.Loc = ws.origin
 	ws.committed = nil
 	m.stats.Assigned--
-	// The restored worker re-enters the planning pool at its pre-commit
-	// position: its whole reachability disk must be invalidated, or a cached
-	// quiet component it can now reach into would be spliced stale. Any
-	// commits the resumed plan produces mark their own cells below.
-	m.markDisk(ws.w.Loc, ws.w.Reach)
 	m.executeWorker(ws, now)
 	return true
 }
@@ -392,7 +324,6 @@ func (m *Machine) RemoveWorker(id int, now float64) bool {
 			}
 		}
 		m.noteDeparture(id)
-		m.markDisk(ws.w.Loc, ws.w.Reach)
 	}
 	return true
 }
@@ -407,7 +338,6 @@ func (m *Machine) CancelTask(id int) bool {
 	}
 	delete(m.open, s.ID)
 	delete(m.reserved, s.ID)
-	m.markCell(s.Loc)
 	if m.ghost[s.ID] {
 		// Replica of another shard's task: the owner accounts the cancel.
 		delete(m.ghost, s.ID)
@@ -419,8 +349,8 @@ func (m *Machine) CancelTask(id int) bool {
 }
 
 // ShedTask evicts an open task under admission control — the dispatcher's
-// overload path. It mirrors CancelTask (reserved FTA pins release, dirty
-// cell marked, ghost replicas uncounted) but accounts the closure as Shed:
+// overload path. It mirrors CancelTask (reserved FTA pins release, ghost
+// replicas uncounted) but accounts the closure as Shed:
 // the system, not the requester, withdrew the task. Shedding a task a worker
 // has already committed to is a no-op — the commitment already counted as
 // assigned. It reports whether a task left the open pool.
@@ -431,7 +361,6 @@ func (m *Machine) ShedTask(id int) bool {
 	}
 	delete(m.open, s.ID)
 	delete(m.reserved, s.ID)
-	m.markCell(s.Loc)
 	if m.ghost[s.ID] {
 		// Replica of another shard's task: the owner accounts the shed.
 		delete(m.ghost, s.ID)
@@ -451,10 +380,8 @@ func (m *Machine) UpdateWorkerPos(id int, loc geo.Point) bool {
 	if !ok {
 		return false
 	}
-	if !ws.moving && (ws.w.Loc != loc) {
-		m.markDisk(ws.w.Loc, ws.w.Reach)
+	if !ws.moving {
 		ws.w.Loc = loc
-		m.markDisk(loc, ws.w.Reach)
 	}
 	return true
 }
@@ -570,8 +497,6 @@ func (m *Machine) completeMotions(t float64) {
 				// counted as assigned at commitment.
 				ws.committed = nil
 			}
-			// The worker re-enters the planning pool here.
-			m.markDisk(ws.w.Loc, ws.w.Reach)
 		}
 	}
 }
@@ -591,7 +516,6 @@ func (m *Machine) evict(t float64) {
 		if s.Exp <= t {
 			delete(m.open, s.ID)
 			delete(m.reserved, s.ID)
-			m.markCell(s.Loc)
 			// A ghost's lifecycle is accounted by its owning shard.
 			if m.ghost[s.ID] {
 				delete(m.ghost, s.ID)
@@ -617,7 +541,6 @@ func (m *Machine) evict(t float64) {
 			m.releasePlan(ws)
 			delete(m.byWorker, ws.w.ID)
 			m.noteDeparture(ws.w.ID)
-			m.markDisk(ws.w.Loc, ws.w.Reach)
 			continue
 		}
 		kept = append(kept, ws)
@@ -625,14 +548,12 @@ func (m *Machine) evict(t float64) {
 	clear(m.active[len(kept):])
 	m.active = kept
 
-	// The machine owns m.virtuals (replaceVirtuals documents the handoff),
+	// The machine owns m.virtuals (SetVirtuals documents the handoff),
 	// so expiring entries compact in place too.
 	keptVirtual := m.virtuals[:0]
 	for _, v := range m.virtuals {
 		if v.Exp > t {
 			keptVirtual = append(keptVirtual, v)
-		} else {
-			m.markCell(v.Loc)
 		}
 	}
 	clear(m.virtuals[len(keptVirtual):])
@@ -683,28 +604,16 @@ func (m *Machine) forecast(t float64) {
 	if hb, ok := m.cfg.Forecast.(HistoryBounded); ok {
 		m.published = PruneHistory(m.published, t-hb.HistorySpan())
 	}
-	m.replaceVirtuals(m.cfg.Forecast.Virtuals(m.published, t))
+	m.virtuals = m.cfg.Forecast.Virtuals(m.published, t)
 }
 
 // SetVirtuals replaces the machine's virtual-task set — used by drivers that
 // forecast globally (the sharded dispatcher) instead of per machine. Expired
 // entries are evicted on the next Step, exactly like machine-local virtuals.
+// The machine takes ownership of v — expiry eviction compacts it in place —
+// so callers must hand over a slice they will not read again (every
+// Forecaster builds a fresh one per call).
 func (m *Machine) SetVirtuals(v []*core.Task) {
-	m.replaceVirtuals(v)
-}
-
-// replaceVirtuals swaps the virtual-task set, dirtying the cells of both the
-// outgoing and incoming virtuals: either side can change a cached
-// component's planning pool. The machine takes ownership of v — expiry
-// eviction compacts it in place — so callers must hand over a slice they will
-// not read again (every Forecaster builds a fresh one per call).
-func (m *Machine) replaceVirtuals(v []*core.Task) {
-	for _, old := range m.virtuals {
-		m.markCell(old.Loc)
-	}
-	for _, nv := range v {
-		m.markCell(nv.Loc)
-	}
 	m.virtuals = v
 }
 
@@ -721,10 +630,6 @@ func (m *Machine) plan(t float64) {
 		if !ws.w.Available(t) {
 			continue
 		}
-		if !ws.entered {
-			ws.entered = true
-			m.markDisk(ws.w.Loc, ws.w.Reach)
-		}
 		planners = append(planners, ws)
 	}
 	m.planScratch = planners
@@ -734,14 +639,12 @@ func (m *Machine) plan(t float64) {
 	slices.SortFunc(planners, func(a, b *workerState) int { return a.w.ID - b.w.ID })
 
 	// Refresh worker locations to their positions now; repositioning
-	// workers are interrupted at their current point — a position change the
-	// dirty set must see before the planner runs.
+	// workers are interrupted at their current point.
 	workers := m.wsScratch[:0]
 	for _, ws := range planners {
 		ws.w.Loc = ws.pos(t)
 		if ws.moving && ws.committed == nil {
 			ws.moving = false
-			m.markDisk(ws.w.Loc, ws.w.Reach)
 		}
 		workers = append(workers, ws.w)
 	}
@@ -760,13 +663,7 @@ func (m *Machine) plan(t float64) {
 	m.poolScratch = pool
 
 	start := time.Now() //datawa:wallclock planner wall-time stats, observability only
-	var plan core.Plan
-	if m.dp != nil {
-		plan = m.dp.PlanDirty(workers, pool, t, m.dirty)
-		clear(m.dirty)
-	} else {
-		plan = m.cfg.Planner.Plan(workers, pool, t)
-	}
+	plan := m.cfg.Planner.Plan(workers, pool, t)
 	m.stats.PlanTime += time.Since(start) //datawa:wallclock planner wall-time stats, observability only
 	m.stats.PlanCalls++
 
@@ -846,7 +743,6 @@ func (m *Machine) executeWorker(ws *workerState, t float64) {
 		}
 		delete(m.open, head.ID)
 		delete(m.reserved, head.ID)
-		m.markCell(head.Loc)
 		m.stats.Assigned++
 		if m.ghost[head.ID] {
 			delete(m.ghost, head.ID)

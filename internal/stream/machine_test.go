@@ -1,8 +1,11 @@
 package stream
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/geo"
 )
@@ -216,4 +219,121 @@ func TestMachineRemovalTracking(t *testing.T) {
 	if !m.AddWorker(worker(1, 0, 0, 1, 60, 500), 60) {
 		t.Fatal("re-admission after immediate removal refused")
 	}
+}
+
+// poolRecorder records the pool each planning instant hands the planner —
+// workers with their positions, then task ids — while delegating the plan.
+type poolRecorder struct {
+	inner assign.Planner
+	calls []string
+}
+
+func (r *poolRecorder) Name() string { return "poolRecorder" }
+
+func (r *poolRecorder) Plan(ws []*core.Worker, ts []*core.Task, now float64) core.Plan {
+	var b strings.Builder
+	b.WriteString("w")
+	for _, w := range ws {
+		fmt.Fprintf(&b, " %d@(%g,%g)", w.ID, w.Loc.X, w.Loc.Y)
+	}
+	b.WriteString(" t")
+	for _, s := range ts {
+		fmt.Fprintf(&b, " %d", s.ID)
+	}
+	r.calls = append(r.calls, b.String())
+	return r.inner.Plan(ws, ts, now)
+}
+
+// poolMachine returns a machine whose planner records every pool it is
+// handed, and a step helper that plans one instant and checks that pool:
+// want "" means the planner must not be invoked.
+func poolMachine(t *testing.T, trackCommits bool) (*Machine, func(now float64, want string)) {
+	rec := &poolRecorder{inner: searchPlanner()}
+	m := NewMachine(MachineConfig{Planner: rec, Travel: travel, TrackCommits: trackCommits})
+	step := func(now float64, want string) {
+		t.Helper()
+		n := len(rec.calls)
+		m.Step(now)
+		switch {
+		case want == "" && len(rec.calls) != n:
+			t.Fatalf("t=%g: planner invoked with %q, want no call", now, rec.calls[n])
+		case want != "" && len(rec.calls) != n+1:
+			t.Fatalf("t=%g: planner calls %d → %d, want one", now, n, len(rec.calls))
+		case want != "" && rec.calls[n] != want:
+			t.Fatalf("t=%g: pool %q, want %q", now, rec.calls[n], want)
+		}
+	}
+	return m, step
+}
+
+// The four TestMachineDirtyMarks* tests walk the events that used to mark
+// dirty cells for incremental replanning. With one full-replan path, each
+// now pins that the event is visible in the whole pool handed to the
+// planner at the next instant: every available, uncommitted worker at its
+// current position and every open task.
+
+// TestMachineDirtyMarksEvents walks arrivals, a quiet instant, a heartbeat
+// move, a cancel and a departure, starting with a planner-less instant.
+func TestMachineDirtyMarksEvents(t *testing.T) {
+	m, step := poolMachine(t, false)
+	m.AddTask(task(1, 3.5, 3.5, 0, 1000), 0)
+	step(0, "") // no plannable worker: no planner call
+	m.AddWorker(worker(1, 0.5, 0.5, 0.4, 0, 1000), 1)
+	step(1, "w 1@(0.5,0.5) t 1")
+	step(2, "w 1@(0.5,0.5) t 1") // quiet instant: the same whole pool
+	m.UpdateWorkerPos(1, geo.Point{X: 2.5, Y: 0.5})
+	step(3, "w 1@(2.5,0.5) t 1")
+	m.CancelTask(1)
+	step(4, "w 1@(2.5,0.5) t")
+	m.RemoveWorker(1, 5)
+	m.AddWorker(worker(2, 1.5, 3.5, 0.4, 5, 1000), 5)
+	step(5, "w 2@(1.5,3.5) t")
+}
+
+// TestMachineDirtyMarksCommitAndArrival pins the motion lifecycle: a
+// committed worker and its task leave the pool, and the worker re-enters it
+// at the destination on arrival.
+func TestMachineDirtyMarksCommitAndArrival(t *testing.T) {
+	m, step := poolMachine(t, false)
+	m.AddWorker(worker(1, 0.5, 0.5, 1, 0, 10000), 0)
+	m.AddTask(task(1, 1.5, 0.5, 0, 5000), 0)
+	step(0, "w 1@(0.5,0.5) t 1") // plan + commit: 1 km at 0.01 km/s = 100 s
+	step(50, "")                 // moving worker, served task: empty pool
+	step(100, "w 1@(1.5,0.5) t")
+}
+
+// TestMachineDirtyMarksRetraction pins the arbitration hook: a retracted
+// commit returns the worker to the pool at its pre-commit position, and the
+// task stays out of it.
+func TestMachineDirtyMarksRetraction(t *testing.T) {
+	m, step := poolMachine(t, true)
+	m.AddWorker(worker(1, 1.5, 1.5, 1, 0, 10000), 0)
+	m.AddTask(task(1, 1.5, 2.4, 0, 5000), 0)
+	step(0, "w 1@(1.5,1.5) t 1")
+	if c := m.TakeCommits(); len(c) != 1 || c[0].Worker != 1 || c[0].Task != 1 {
+		t.Fatalf("commits = %+v, want worker 1 → task 1", c)
+	}
+	if !m.RetractCommit(1, 1, 0) {
+		t.Fatal("retraction refused")
+	}
+	step(1, "w 1@(1.5,1.5) t")
+}
+
+// TestMachineDirtyMarksFutureOnWorker pins the late-availability case: a
+// worker admitted with a future On stays out of the pool at every earlier
+// instant and joins it exactly at On, where it can take the open task.
+func TestMachineDirtyMarksFutureOnWorker(t *testing.T) {
+	m, step := poolMachine(t, true)
+	// An always-available worker elsewhere keeps the planner running.
+	m.AddWorker(worker(1, 0.5, 0.5, 0.3, 0, 1000), 0)
+	m.AddWorker(worker(2, 3.5, 3.5, 0.4, 5, 1000), 0)
+	m.AddTask(task(1, 3.5, 3.2, 0, 5000), 0)
+	for now := 0.0; now < 5; now++ {
+		step(now, "w 1@(0.5,0.5) t 1")
+	}
+	step(5, "w 1@(0.5,0.5) 2@(3.5,3.5) t 1")
+	if c := m.TakeCommits(); len(c) != 1 || c[0].Worker != 2 || c[0].Task != 1 {
+		t.Fatalf("commits = %+v, want worker 2 → task 1", c)
+	}
+	step(6, "w 1@(0.5,0.5) t")
 }

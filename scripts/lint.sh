@@ -14,6 +14,9 @@
 #                      discipline, hot-path allocations, exposition format),
 #                      built from source and run through go vet -vettool so
 #                      package loading matches the build exactly
+#   5. perfbench     — go vet and go test in the benchmark module
+#                      (perfbench/go.mod), which compiles against the
+#                      repo's internal packages
 set -u
 cd "$(dirname "$0")/.."
 
@@ -49,6 +52,9 @@ if go build -o bin/datawa-lint ./cmd/datawa-lint; then
 else
     fail=1
 fi
+
+echo "== perfbench =="
+(cd perfbench && go vet ./... && go test ./...) || fail=1
 
 if [ "$fail" -ne 0 ]; then
     echo "LINT FAILED"
