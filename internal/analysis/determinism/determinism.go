@@ -2,7 +2,8 @@
 // compile time: plans are byte-identical across runs, machines, and
 // parallelism levels (docs/ARCHITECTURE.md), so the determinism-critical
 // packages must not let ambient nondeterminism in. Three rules, applied to
-// assign, stream, dispatch, wds, spatial, workload, scenario and wire:
+// assign, stream, dispatch, wds, graphutil, spatial, workload, scenario and
+// wire:
 //
 //  1. A `for … range` over a map must have an order-insensitive body —
 //     commutative accumulation only (integer counters, keyed writes,
@@ -44,14 +45,15 @@ var Analyzer = &analysis.Analyzer{
 // rule follows the packages if the tree is ever re-rooted (and lets fixture
 // packages opt in by name).
 var criticalPkgs = map[string]bool{
-	"assign":   true,
-	"stream":   true,
-	"dispatch": true,
-	"wds":      true,
-	"spatial":  true,
-	"workload": true,
-	"scenario": true,
-	"wire":     true,
+	"assign":    true,
+	"stream":    true,
+	"dispatch":  true,
+	"wds":       true,
+	"graphutil": true,
+	"spatial":   true,
+	"workload":  true,
+	"scenario":  true,
+	"wire":      true,
 }
 
 // Critical reports whether a package path is under the determinism contract.

@@ -13,12 +13,13 @@ func TestDeterminism(t *testing.T) {
 
 func TestCritical(t *testing.T) {
 	for path, want := range map[string]bool{
-		"repro/internal/assign":   true,
-		"repro/internal/dispatch": true,
-		"wire":                    true,
-		"repro/internal/obs":      false,
-		"repro/cmd/datawa-serve":  false,
-		"repro/internal/analysis": false,
+		"repro/internal/assign":    true,
+		"repro/internal/dispatch":  true,
+		"repro/internal/graphutil": true,
+		"wire":                     true,
+		"repro/internal/obs":       false,
+		"repro/cmd/datawa-serve":   false,
+		"repro/internal/analysis":  false,
 	} {
 		if got := determinism.Critical(path); got != want {
 			t.Errorf("Critical(%q) = %v, want %v", path, got, want)

@@ -18,32 +18,53 @@ func benchGraph(n int, p float64) *Graph {
 	return g
 }
 
+// componentCases are the dependency-component shapes of the fill-in and
+// clique benchmarks: a typical 40-worker component, and one of 176 workers
+// at 30% density — the largest component of the event-spike workload, whose
+// bitset rows span three 64-bit words.
+var componentCases = []struct {
+	name string
+	n    int
+	p    float64
+}{
+	{"n40_p15", 40, 0.15},
+	{"n176_p30", 176, 0.3},
+}
+
 // BenchmarkFillIn measures chordal completion via the elimination game on a
 // component-sized dependency graph.
 func BenchmarkFillIn(b *testing.B) {
-	g := benchGraph(40, 0.15)
-	vs := make([]int, 40)
-	for i := range vs {
-		vs[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.FillIn(vs)
+	for _, c := range componentCases {
+		g := benchGraph(c.n, c.p)
+		vs := make([]int, c.n)
+		for i := range vs {
+			vs[i] = i
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.FillIn(vs)
+			}
+		})
 	}
 }
 
 // BenchmarkMaximalCliques measures clique extraction from the chordal
 // completion.
 func BenchmarkMaximalCliques(b *testing.B) {
-	g := benchGraph(40, 0.15)
-	vs := make([]int, 40)
-	for i := range vs {
-		vs[i] = i
-	}
-	h, peo := g.FillIn(vs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaximalCliquesChordal(h, peo)
+	for _, c := range componentCases {
+		g := benchGraph(c.n, c.p)
+		vs := make([]int, c.n)
+		for i := range vs {
+			vs[i] = i
+		}
+		h, peo := g.FillIn(vs)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MaximalCliquesChordal(h, peo)
+			}
+		})
 	}
 }
 

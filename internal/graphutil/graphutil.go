@@ -3,61 +3,54 @@
 // Cardinality Search (Tarjan & Yannakakis 1984), chordal completion via the
 // elimination game, maximal cliques of chordal graphs, and a chordality
 // test. Vertices are dense ints in [0, N).
+//
+// Graph is the single adjacency representation: one ascending neighbor row
+// per vertex. The algorithms that run on a vertex subset index their scratch
+// by rank in the sorted subset, so their cost follows the subset and its
+// edges, and the elimination game of FillIn runs on bitset rows over that
+// rank space.
 package graphutil
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
-// Graph is a simple undirected graph with a fixed vertex count.
+// Graph is a simple undirected graph with a fixed vertex count, stored as
+// one ascending neighbor row per vertex.
 type Graph struct {
-	n   int
-	adj []map[int]struct{}
+	rows [][]int
 }
 
-// New returns an empty graph on n vertices. Adjacency sets are allocated
-// lazily on first edge insertion, so a graph over many vertices with edges
-// confined to a small subset (the per-component chordal completions of the
-// RTC construction) costs memory proportional to its edges, not to n.
+// New returns an empty graph on n vertices.
 func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graphutil: negative vertex count %d", n))
 	}
-	return &Graph{n: n, adj: make([]map[int]struct{}, n)}
+	return &Graph{rows: make([][]int, n)}
 }
 
 // N returns the vertex count.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return len(g.rows) }
 
-// Reset reinitializes g to an empty graph on n vertices, reusing the
-// adjacency storage of earlier generations — the zero-steady-state-allocation
-// path for callers that rebuild a graph every planning instant. The zero
-// Graph value is valid input.
+// Reset reinitializes g to an empty graph on n vertices, reusing the row
+// storage of earlier generations — the zero-steady-state-allocation path for
+// callers that rebuild a graph every planning instant. The zero Graph value
+// is valid input.
 func (g *Graph) Reset(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("graphutil: negative vertex count %d", n))
 	}
-	g.n = n
-	if cap(g.adj) < n {
-		g.adj = make([]map[int]struct{}, n)
-		return
+	// Grow over the full capacity so rows beyond the previous length keep
+	// their backing arrays too.
+	if c := cap(g.rows); c < n {
+		g.rows = append(g.rows[:c], make([][]int, n-c)...)
 	}
-	// Clearing after the reslice also covers maps re-exposed by growing back
-	// within capacity, which may hold edges from an older, larger graph.
-	g.adj = g.adj[:n]
-	for _, a := range g.adj {
-		clear(a)
-	}
-}
-
-// EachNeighbor calls f for every neighbor of v, in unspecified order. It is
-// the allocation-free alternative to Neighbors for callers that sort or
-// aggregate on their own.
-func (g *Graph) EachNeighbor(v int, f func(u int)) {
-	g.check(v)
-	for u := range g.adj[v] {
-		f(u)
+	g.rows = g.rows[:n]
+	for v := range g.rows {
+		g.rows[v] = g.rows[v][:0]
 	}
 }
 
@@ -68,19 +61,27 @@ func (g *Graph) AddEdge(u, v int) {
 	}
 	g.check(u)
 	g.check(v)
-	if g.adj[u] == nil {
-		g.adj[u] = make(map[int]struct{})
+	g.insert(u, v)
+	g.insert(v, u)
+}
+
+// insert adds u to v's row, keeping it ascending and duplicate-free.
+// Appending in ascending order, the common construction order, skips the
+// search.
+func (g *Graph) insert(v, u int) {
+	row := g.rows[v]
+	if n := len(row); n == 0 || row[n-1] < u {
+		g.rows[v] = append(row, u)
+		return
 	}
-	if g.adj[v] == nil {
-		g.adj[v] = make(map[int]struct{})
+	if i, found := slices.BinarySearch(row, u); !found {
+		g.rows[v] = slices.Insert(row, i, u)
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
 }
 
 func (g *Graph) check(v int) {
-	if v < 0 || v >= g.n {
-		panic(fmt.Sprintf("graphutil: vertex %d out of range [0,%d)", v, g.n))
+	if v < 0 || v >= len(g.rows) {
+		panic(fmt.Sprintf("graphutil: vertex %d out of range [0,%d)", v, len(g.rows)))
 	}
 }
 
@@ -88,47 +89,31 @@ func (g *Graph) check(v int) {
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	_, ok := g.adj[u][v]
-	return ok
+	_, found := slices.BinarySearch(g.rows[u], v)
+	return found
 }
 
 // Degree returns the number of neighbors of v.
 func (g *Graph) Degree(v int) int {
 	g.check(v)
-	return len(g.adj[v])
+	return len(g.rows[v])
 }
 
 // Edges returns the number of undirected edges.
 func (g *Graph) Edges() int {
 	total := 0
-	for _, a := range g.adj {
-		total += len(a)
+	for _, row := range g.rows {
+		total += len(row)
 	}
 	return total / 2
 }
 
-// Neighbors returns the sorted neighbor list of v.
+// Neighbors returns the ascending neighbor row of v. The slice is g's own
+// storage: callers must not modify it, and it is valid until the next
+// AddEdge or Reset.
 func (g *Graph) Neighbors(v int) []int {
 	g.check(v)
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	out := New(g.n)
-	for v, a := range g.adj {
-		for u := range a {
-			if u > v {
-				out.AddEdge(v, u)
-			}
-		}
-	}
-	return out
+	return g.rows[v]
 }
 
 // Components returns the connected components over the vertices for which
@@ -136,81 +121,44 @@ func (g *Graph) Clone() *Graph {
 // sorted ascending and components are ordered by their smallest vertex.
 func (g *Graph) Components(include func(int) bool) [][]int {
 	in := func(v int) bool { return include == nil || include(v) }
-	seen := make([]bool, g.n)
+	seen := make([]bool, len(g.rows))
 	var comps [][]int
-	for s := 0; s < g.n; s++ {
+	for s := range g.rows {
 		if seen[s] || !in(s) {
 			continue
 		}
-		var comp []int
-		queue := []int{s}
+		comp := []int{s}
 		seen[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			comp = append(comp, v)
-			for u := range g.adj[v] {
+		for head := 0; head < len(comp); head++ {
+			for _, u := range g.rows[comp[head]] {
 				if !seen[u] && in(u) {
 					seen[u] = true
-					queue = append(queue, u)
+					comp = append(comp, u)
 				}
 			}
 		}
+		// Seeds ascend, so components come out ordered by smallest vertex.
 		sort.Ints(comp)
 		comps = append(comps, comp)
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
 	return comps
 }
 
-// ComponentsOf returns the connected components of the subgraph induced by
-// vertices, further restricted to those for which include(v) is true when
-// include is non-nil. The output format and ordering match Components —
-// each component ascending, components ordered by smallest vertex — but the
-// cost is proportional to the subset and its edges, never to the full
-// vertex range. (The RTC construction in internal/wds needs this query so
-// often that it inlines a CSR-specialized equivalent with reused scratch;
-// this method is the general-purpose form of the same contract.)
-func (g *Graph) ComponentsOf(vertices []int, include func(int) bool) [][]int {
-	// Dense scratch beats maps here: the BFS probes in/seen once per edge,
-	// and the clique-selection loop of the RTC construction calls this many
-	// times per component.
-	in := make([]bool, g.n)
-	seen := make([]bool, g.n)
-	seeds := make([]int, 0, len(vertices))
+// sortedSubset returns the distinct vertices ascending; a vertex's index in
+// it is its rank, which the subset algorithms use to index their scratch.
+func (g *Graph) sortedSubset(vertices []int) []int {
 	for _, v := range vertices {
 		g.check(v)
-		if include == nil || include(v) {
-			in[v] = true
-			seeds = append(seeds, v)
-		}
 	}
-	sort.Ints(seeds)
-	var comps [][]int
-	for _, s := range seeds {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			comp = append(comp, v)
-			for u := range g.adj[v] {
-				if in[u] && !seen[u] {
-					seen[u] = true
-					queue = append(queue, u)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
+	return slices.Compact(slices.Sorted(slices.Values(vertices)))
+}
+
+// rank returns u's index in the ascending subset, or -1 if u is not in it.
+func rank(subset []int, u int) int {
+	if i, found := slices.BinarySearch(subset, u); found {
+		return i
 	}
-	// Seeds ascend, so components already come out ordered by smallest
-	// vertex, matching Components.
-	return comps
+	return -1
 }
 
 // MCS runs Maximum Cardinality Search over the given vertex subset and
@@ -219,36 +167,28 @@ func (g *Graph) ComponentsOf(vertices []int, include func(int) bool) [][]int {
 // visit order is a perfect elimination ordering when the induced subgraph
 // is chordal.
 func (g *Graph) MCS(vertices []int) []int {
-	in := make(map[int]bool, len(vertices))
-	for _, v := range vertices {
-		g.check(v)
-		in[v] = true
-	}
-	weight := make(map[int]int, len(vertices))
-	visited := make(map[int]bool, len(vertices))
-	order := make([]int, 0, len(vertices))
-	// Deterministic: scan ascending ids. The sorted id list is loop
-	// invariant, so it is built once, not per selection round.
-	sorted := make([]int, 0, len(in))
-	for v := range in {
-		sorted = append(sorted, v)
-	}
-	sort.Ints(sorted)
-	for len(order) < len(in) {
-		best, bestW := -1, -1
-		for _, v := range sorted {
-			if visited[v] {
-				continue
-			}
-			if weight[v] > bestW {
-				best, bestW = v, weight[v]
+	return g.mcs(g.sortedSubset(vertices))
+}
+
+// mcs is MCS over an ascending, duplicate-free subset.
+func (g *Graph) mcs(subset []int) []int {
+	// weight[r] is the visited-neighbor count of the rank-r vertex, or -1
+	// once it is visited. Scanning ranks ascending breaks ties toward the
+	// smallest id.
+	weight := make([]int, len(subset))
+	order := make([]int, 0, len(subset))
+	for range subset {
+		best := -1
+		for r, w := range weight {
+			if w >= 0 && (best < 0 || w > weight[best]) {
+				best = r
 			}
 		}
-		visited[best] = true
-		order = append(order, best)
-		for u := range g.adj[best] {
-			if in[u] && !visited[u] {
-				weight[u]++
+		weight[best] = -1
+		order = append(order, subset[best])
+		for _, u := range g.rows[subset[best]] {
+			if r := rank(subset, u); r >= 0 && weight[r] >= 0 {
+				weight[r]++
 			}
 		}
 	}
@@ -260,45 +200,70 @@ func (g *Graph) MCS(vertices []int) []int {
 // the chordal completion H (on the same vertex ids, containing only edges
 // among the subset plus fill edges) and the perfect elimination ordering of
 // H (first eliminated first).
+//
+// The game runs on bitset rows indexed by rank in the sorted subset:
+// eliminating v ORs its remaining neighborhood into each remaining
+// neighbor's row, one 64-bit word at a time.
 func (g *Graph) FillIn(vertices []int) (*Graph, []int) {
-	order := g.MCS(vertices)
-	// Eliminate in reverse visit order.
-	peo := make([]int, len(order))
+	subset := g.sortedSubset(vertices)
+	k := len(subset)
+	order := g.mcs(subset)
+	peo := make([]int, k)
 	for i, v := range order {
-		peo[len(order)-1-i] = v
+		peo[k-1-i] = v
 	}
-	pos := make(map[int]int, len(peo))
-	for i, v := range peo {
-		pos[v] = i
-	}
-	h := New(g.n)
-	in := make(map[int]bool, len(vertices))
-	for _, v := range vertices {
-		in[v] = true
-	}
-	for v, a := range g.adj {
-		if !in[v] {
-			continue
-		}
-		for u := range a {
-			if in[u] && u > v {
-				h.AddEdge(v, u)
+
+	words := (k + 63) / 64
+	adj := make([]uint64, k*words) // rank r's row is adj[r*words:(r+1)*words]
+	for r, v := range subset {
+		row := adj[r*words : (r+1)*words]
+		for _, u := range g.rows[v] {
+			if q := rank(subset, u); q >= 0 {
+				row[q/64] |= 1 << (q % 64)
 			}
 		}
 	}
+	alive := make([]uint64, words)
+	for r := range k {
+		alive[r/64] |= 1 << (r % 64)
+	}
+	later := make([]uint64, words)
 	for _, v := range peo {
-		// Later neighbors of v (not yet eliminated) must form a clique.
-		later := make([]int, 0, len(h.adj[v]))
-		for u := range h.adj[v] {
-			if pos[u] > pos[v] {
-				later = append(later, u)
+		r := rank(subset, v)
+		alive[r/64] &^= 1 << (r % 64)
+		row := adj[r*words : (r+1)*words]
+		for w := range later {
+			later[w] = row[w] & alive[w]
+		}
+		// The later neighbors of v must form a clique.
+		for w, word := range later {
+			for ; word != 0; word &= word - 1 {
+				q := w*64 + bits.TrailingZeros64(word)
+				qrow := adj[q*words : (q+1)*words]
+				for x := range qrow {
+					qrow[x] |= later[x]
+				}
+				qrow[q/64] &^= 1 << (q % 64)
 			}
 		}
-		for i := 0; i < len(later); i++ {
-			for j := i + 1; j < len(later); j++ {
-				h.AddEdge(later[i], later[j])
+	}
+
+	// Rows ascend by rank, hence by id; they share one backing array, each
+	// capacity-capped so an AddEdge on H cannot overwrite its successor.
+	total := 0
+	for _, word := range adj {
+		total += bits.OnesCount64(word)
+	}
+	flat := make([]int, 0, total)
+	h := New(len(g.rows))
+	for r, v := range subset {
+		start := len(flat)
+		for w, word := range adj[r*words : (r+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				flat = append(flat, subset[w*64+bits.TrailingZeros64(word)])
 			}
 		}
+		h.rows[v] = flat[start:len(flat):len(flat)]
 	}
 	return h, peo
 }
@@ -309,15 +274,17 @@ func (g *Graph) FillIn(vertices []int) (*Graph, []int) {
 // candidates are filtered out. Cliques are sorted internally and ordered by
 // their smallest vertex for determinism.
 func MaximalCliquesChordal(h *Graph, peo []int) [][]int {
-	pos := make(map[int]int, len(peo))
+	ids := h.sortedSubset(peo)
+	pos := make([]int, len(ids)) // by rank
 	for i, v := range peo {
-		pos[v] = i
+		pos[rank(ids, v)] = i
 	}
-	var cands [][]int
+	cands := make([][]int, 0, len(peo))
 	for _, v := range peo {
-		c := []int{v}
-		for u := range h.adj[v] {
-			if p, ok := pos[u]; ok && p > pos[v] {
+		pv := pos[rank(ids, v)]
+		c := append(make([]int, 0, 1+len(h.rows[v])), v)
+		for _, u := range h.rows[v] {
+			if r := rank(ids, u); r >= 0 && pos[r] > pv {
 				c = append(c, u)
 			}
 		}
@@ -376,37 +343,26 @@ func (g *Graph) IsClique(vs []int) bool {
 }
 
 // IsChordal reports whether the subgraph induced by vertices is chordal, by
-// checking the perfect-elimination property of the reverse MCS order.
+// the classic MCS test: for each v, the neighbors visited before it — its
+// later neighbors in the elimination order — must all be adjacent to the
+// one of them visited last.
 func (g *Graph) IsChordal(vertices []int) bool {
-	order := g.MCS(vertices)
-	in := make(map[int]bool, len(vertices))
-	for _, v := range vertices {
-		in[v] = true
-	}
-	pos := make(map[int]int, len(order))
+	subset := g.sortedSubset(vertices)
+	order := g.mcs(subset)
+	pos := make([]int, len(subset)) // by rank
 	for i, v := range order {
-		pos[v] = i
+		pos[rank(subset, v)] = i
 	}
-	// Reverse visit order is the elimination order; equivalently, for each
-	// v, its already-visited neighbors at visit time must... the standard
-	// check: for elimination order σ = reverse(order), later neighbors of
-	// each vertex must form a clique.
-	for _, v := range order {
-		var earlier []int // visited before v ⇒ eliminated after v
-		for u := range g.adj[v] {
-			if in[u] && pos[u] < pos[v] {
+	var earlier []int
+	for i, v := range order {
+		earlier = earlier[:0]
+		w, pw := -1, -1
+		for _, u := range g.rows[v] {
+			if r := rank(subset, u); r >= 0 && pos[r] < i {
 				earlier = append(earlier, u)
-			}
-		}
-		// v's earlier-visited neighbors: the one visited last, say w, must
-		// be adjacent to all others (the classic MCS chordality test).
-		if len(earlier) <= 1 {
-			continue
-		}
-		w := earlier[0]
-		for _, u := range earlier[1:] {
-			if pos[u] > pos[w] {
-				w = u
+				if pos[r] > pw {
+					w, pw = u, pos[r]
+				}
 			}
 		}
 		for _, u := range earlier {

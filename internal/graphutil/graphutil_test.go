@@ -2,6 +2,7 @@ package graphutil
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -54,15 +55,37 @@ func TestBasicOps(t *testing.T) {
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("Neighbors(1) = %v", got)
 	}
+	// Out-of-order and repeated insertions keep rows ascending and
+	// duplicate-free.
+	g.AddEdge(3, 1)
+	g.AddEdge(2, 1)
+	g.AddEdge(1, 3)
+	if got := g.Neighbors(1); !slices.Equal(got, []int{0, 2, 3}) {
+		t.Errorf("Neighbors(1) = %v, want [0 2 3]", got)
+	}
+	if g.Edges() != 3 || g.Degree(3) != 1 {
+		t.Errorf("Edges = %d, Degree(3) = %d", g.Edges(), g.Degree(3))
+	}
 }
 
-func TestClone(t *testing.T) {
-	g := randomGraph(6, 0.5, 1)
-	c := g.Clone()
-	c.AddEdge(0, 5)
-	g2 := randomGraph(6, 0.5, 1)
-	if g.Edges() != g2.Edges() {
-		t.Error("Clone mutated the original")
+func TestResetClearsRows(t *testing.T) {
+	var g Graph
+	g.Reset(5)
+	g.AddEdge(0, 4)
+	g.AddEdge(1, 2)
+	g.Reset(3) // shrink, then grow back within capacity over the old rows
+	g.Reset(5)
+	if g.N() != 5 || g.Edges() != 0 {
+		t.Fatalf("after Reset: N = %d, Edges = %d", g.N(), g.Edges())
+	}
+	for v := range 5 {
+		if g.Degree(v) != 0 {
+			t.Fatalf("vertex %d kept %v", v, g.Neighbors(v))
+		}
+	}
+	g.AddEdge(3, 4)
+	if !g.HasEdge(4, 3) || g.HasEdge(0, 4) {
+		t.Error("edges after Reset")
 	}
 }
 
@@ -223,25 +246,108 @@ func TestIsChordalKnownGraphs(t *testing.T) {
 	}
 }
 
-func TestFillInProducesChordal(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(10, 0.25, seed)
-		h, peo := g.FillIn(allVertices(10))
-		if len(peo) != 10 {
-			return false
+// wordBoundaryCases are graph sizes whose bitset rows straddle or fill
+// 64-bit word boundaries, sparse and dense.
+var wordBoundaryCases = []struct {
+	n int
+	p float64
+}{
+	{63, 0.05}, {63, 0.3},
+	{64, 0.05}, {64, 0.3},
+	{65, 0.05}, {65, 0.3},
+	{129, 0.05}, {129, 0.3},
+	{200, 0.05}, {200, 0.3},
+}
+
+// fillInChordal reports whether g's fill-in over all n vertices is a
+// chordal supergraph of g with a full elimination ordering.
+func fillInChordal(g *Graph, n int) bool {
+	h, peo := g.FillIn(allVertices(n))
+	if len(peo) != n {
+		return false
+	}
+	for v := 0; v < n; v++ {
+		for _, u := range g.Neighbors(v) {
+			if !h.HasEdge(v, u) {
+				return false
+			}
 		}
-		// Fill-in is a supergraph of g.
-		for v := 0; v < 10; v++ {
-			for _, u := range g.Neighbors(v) {
-				if !h.HasEdge(v, u) {
-					return false
+	}
+	return h.IsChordal(allVertices(n))
+}
+
+func TestFillInProducesChordal(t *testing.T) {
+	f := func(seed int64) bool { return fillInChordal(randomGraph(10, 0.25, seed), 10) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+	for _, c := range wordBoundaryCases {
+		for seed := int64(1); seed <= 3; seed++ {
+			if !fillInChordal(randomGraph(c.n, c.p, seed), c.n) {
+				t.Errorf("n=%d p=%g seed=%d: fill-in is not a chordal supergraph", c.n, c.p, seed)
+			}
+		}
+	}
+}
+
+// naiveFillIn plays the elimination game along peo on an adjacency matrix
+// of the subgraph of g induced by peo's vertices.
+func naiveFillIn(g *Graph, peo []int) [][]bool {
+	adj := make([][]bool, g.N())
+	for i := range adj {
+		adj[i] = make([]bool, g.N())
+	}
+	for _, u := range peo {
+		for _, v := range peo {
+			adj[u][v] = u != v && g.HasEdge(u, v)
+		}
+	}
+	for i, v := range peo {
+		later := peo[i+1:]
+		for a, u := range later {
+			for _, w := range later[a+1:] {
+				if adj[v][u] && adj[v][w] {
+					adj[u][w], adj[w][u] = true, true
 				}
 			}
 		}
-		return h.IsChordal(allVertices(10))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	return adj
+}
+
+func TestFillInMatchesNaiveElimination(t *testing.T) {
+	cases := append([]struct {
+		n int
+		p float64
+	}{{10, 0.25}}, wordBoundaryCases...)
+	for _, c := range cases {
+		for seed := int64(1); seed <= 3; seed++ {
+			g := randomGraph(c.n, c.p, seed)
+			// The full vertex set, and every third vertex: the subset's
+			// ranks differ from its ids.
+			var sparse []int
+			for v := 0; v < c.n; v += 3 {
+				sparse = append(sparse, v)
+			}
+			for _, vs := range [][]int{allVertices(c.n), sparse} {
+				h, peo := g.FillIn(vs)
+				order := g.MCS(vs)
+				for i, v := range order {
+					if peo[len(peo)-1-i] != v {
+						t.Fatalf("n=%d p=%g seed=%d: peo is not the reverse MCS order", c.n, c.p, seed)
+					}
+				}
+				want := naiveFillIn(g, peo)
+				for u := 0; u < c.n; u++ {
+					for v := u + 1; v < c.n; v++ {
+						if h.HasEdge(u, v) != want[u][v] {
+							t.Fatalf("n=%d p=%g seed=%d |subset|=%d: edge {%d,%d} in H = %v, naive = %v",
+								c.n, c.p, seed, len(vs), u, v, h.HasEdge(u, v), want[u][v])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -313,39 +419,50 @@ func TestMaximalCliquesChordalTriangle(t *testing.T) {
 	}
 }
 
-func TestMaximalCliquesProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(9, 0.3, seed)
-		h, peo := g.FillIn(allVertices(9))
-		cliques := MaximalCliquesChordal(h, peo)
-		// Every clique is a clique of h.
-		for _, c := range cliques {
-			if !h.IsClique(c) {
+// maximalCliquesOK reports whether the maximal cliques of g's fill-in over
+// all n vertices are cliques of it, cover every vertex, and contain no
+// other.
+func maximalCliquesOK(g *Graph, n int) bool {
+	h, peo := g.FillIn(allVertices(n))
+	cliques := MaximalCliquesChordal(h, peo)
+	// Every clique is a clique of h.
+	for _, c := range cliques {
+		if !h.IsClique(c) {
+			return false
+		}
+	}
+	// Cliques cover all vertices.
+	covered := make(map[int]bool)
+	for _, c := range cliques {
+		for _, v := range c {
+			covered[v] = true
+		}
+	}
+	if len(covered) != n {
+		return false
+	}
+	// No clique is a subset of another.
+	for i, a := range cliques {
+		for j, b := range cliques {
+			if i != j && subset(a, b) {
 				return false
 			}
 		}
-		// Cliques cover all vertices.
-		covered := make(map[int]bool)
-		for _, c := range cliques {
-			for _, v := range c {
-				covered[v] = true
-			}
-		}
-		if len(covered) != 9 {
-			return false
-		}
-		// No clique is a subset of another.
-		for i, a := range cliques {
-			for j, b := range cliques {
-				if i != j && subset(a, b) {
-					return false
-				}
-			}
-		}
-		return true
 	}
+	return true
+}
+
+func TestMaximalCliquesProperty(t *testing.T) {
+	f := func(seed int64) bool { return maximalCliquesOK(randomGraph(9, 0.3, seed), 9) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+	for _, c := range wordBoundaryCases {
+		for seed := int64(1); seed <= 3; seed++ {
+			if !maximalCliquesOK(randomGraph(c.n, c.p, seed), c.n) {
+				t.Errorf("n=%d p=%g seed=%d: maximal cliques property fails", c.n, c.p, seed)
+			}
+		}
 	}
 }
 
@@ -404,48 +521,6 @@ func TestCliquesSortedDeterministic(t *testing.T) {
 	}
 }
 
-func TestComponentsOfMatchesComponents(t *testing.T) {
-	g := New(10)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	g.AddEdge(5, 6)
-	g.AddEdge(6, 7)
-	g.AddEdge(7, 5)
-
-	all := make([]int, 10)
-	for i := range all {
-		all[i] = i
-	}
-	filter := func(v int) bool { return v != 1 && v != 6 }
-	want := g.Components(filter)
-	got := g.ComponentsOf(all, filter)
-	if len(got) != len(want) {
-		t.Fatalf("ComponentsOf found %d components, Components found %d", len(got), len(want))
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("component %d size differs: %v vs %v", i, got[i], want[i])
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("component %d: %v vs %v", i, got[i], want[i])
-			}
-		}
-	}
-	// Restricted to a subset: vertices outside are invisible.
-	sub := g.ComponentsOf([]int{0, 1, 5, 7}, nil)
-	if len(sub) != 2 {
-		t.Fatalf("subset components = %v, want {0,1} and {5,7}", sub)
-	}
-	if sub[0][0] != 0 || sub[0][1] != 1 || sub[1][0] != 5 || sub[1][1] != 7 {
-		t.Fatalf("subset components = %v", sub)
-	}
-	if comps := g.ComponentsOf(nil, nil); len(comps) != 0 {
-		t.Fatalf("empty subset gave %v", comps)
-	}
-}
-
 func TestLazyAdjacency(t *testing.T) {
 	// A graph whose edges touch few vertices must still answer queries for
 	// the untouched ones.
@@ -459,9 +534,5 @@ func TestLazyAdjacency(t *testing.T) {
 	}
 	if !g.HasEdge(2, 3) || g.Edges() != 1 {
 		t.Fatal("edge lost")
-	}
-	c := g.Clone()
-	if !c.HasEdge(2, 3) || c.Edges() != 1 {
-		t.Fatal("clone lost the edge")
 	}
 }

@@ -568,20 +568,17 @@ func (sp *Separator) Separate(workers []*core.Worker, tasks []*core.Task, now fl
 	return sep
 }
 
-// treeBuilder carries the RTC construction state for one dependency graph: a
-// CSR copy of the adjacency (sorted neighbor slices beat per-edge map
-// iteration in the clique-probing BFS) and dense scratch reused across every
-// node of every tree, so probing a clique costs O(component + edges) with no
-// allocations beyond the result.
+// treeBuilder carries the RTC construction state for one dependency graph:
+// dense scratch reused across every node of every tree, so probing a clique
+// costs O(component + edges) with no allocations beyond the result. The
+// traversals read the graph's sorted neighbor rows directly.
 type treeBuilder struct {
 	g       *graphutil.Graph
-	offs    []int32
-	nbrs    []int32
 	inComp  []bool
 	removed []bool
 	seen    []bool
-	queue   []int32
-	touched []int32
+	queue   []int
+	touched []int
 	// Arenas for the construction's results: tree nodes and the node.Workers
 	// backing. Both live until the next init call (the Separation's
 	// lifetime), so steady-state tree building allocates only on growth.
@@ -595,9 +592,9 @@ type treeBuilder struct {
 	compOffs []int32
 }
 
-// init (re)binds the builder to a graph, rebuilding the CSR adjacency and
-// resetting the arenas; dense scratch is reused across generations (the
-// traversal invariants leave it all-false).
+// init (re)binds the builder to a graph and resets the arenas; dense scratch
+// is reused across generations (the traversal invariants leave it
+// all-false).
 func (b *treeBuilder) init(g *graphutil.Graph) {
 	n := g.N()
 	b.g = g
@@ -609,15 +606,6 @@ func (b *treeBuilder) init(g *graphutil.Graph) {
 		b.inComp = b.inComp[:n]
 		b.removed = b.removed[:n]
 		b.seen = b.seen[:n]
-	}
-	b.offs = append(b.offs[:0], 0)
-	b.nbrs = b.nbrs[:0]
-	add := func(u int) { b.nbrs = append(b.nbrs, int32(u)) }
-	for v := 0; v < n; v++ {
-		start := len(b.nbrs)
-		g.EachNeighbor(v, add)
-		slices.Sort(b.nbrs[start:])
-		b.offs = append(b.offs, int32(len(b.nbrs)))
 	}
 	clear(b.nodes)
 	b.nodes = b.nodes[:0]
@@ -647,12 +635,12 @@ func (b *treeBuilder) components() (flat []int, offs []int32) {
 			continue
 		}
 		start := len(b.compFlat)
-		b.queue = append(b.queue[:0], int32(s))
+		b.queue = append(b.queue[:0], s)
 		b.seen[s] = true
 		for head := 0; head < len(b.queue); head++ {
 			v := b.queue[head]
-			b.compFlat = append(b.compFlat, int(v))
-			for _, u := range b.nbrs[b.offs[v]:b.offs[v+1]] {
+			b.compFlat = append(b.compFlat, v)
+			for _, u := range b.g.Neighbors(v) {
 				if !b.seen[u] {
 					b.seen[u] = true
 					b.queue = append(b.queue, u)
@@ -677,22 +665,13 @@ func (b *treeBuilder) build(comp []int, workers []*core.Worker) *TreeNode {
 	if len(comp) == 0 {
 		return nil
 	}
-	// A 1- or 2-vertex connected component has exactly one maximal clique —
-	// the component itself — whose removal leaves nothing, so the tree is a
-	// single node. These dominate sparse instants; building them directly
+	// A component that is a clique is its own only maximal clique, whose
+	// removal leaves nothing, so its tree is a single node. Singletons, pairs
+	// and small cliques dominate sparse instants; building them directly
 	// skips the chordal fill-in and clique machinery entirely.
-	if len(comp) == 1 {
+	if b.g.IsClique(comp) {
 		node := b.newNode()
-		node.Workers = b.installWorkers(workers[comp[0]])
-		return node
-	}
-	if len(comp) == 2 {
-		u, v := workers[comp[0]], workers[comp[1]]
-		if v.ID < u.ID {
-			u, v = v, u
-		}
-		node := b.newNode()
-		node.Workers = b.installWorkers(u, v)
+		node.Workers = b.installWorkers(comp, workers)
 		return node
 	}
 	chordal, peo := b.g.FillIn(comp)
@@ -741,12 +720,7 @@ func (b *treeBuilder) build(comp []int, workers []*core.Worker) *TreeNode {
 	}
 
 	node := b.newNode()
-	start := len(b.warena)
-	for _, v := range cliques[bestIdx] {
-		b.warena = append(b.warena, workers[v])
-	}
-	node.Workers = b.warena[start:len(b.warena):len(b.warena)]
-	slices.SortFunc(node.Workers, func(a, b *core.Worker) int { return a.ID - b.ID })
+	node.Workers = b.installWorkers(cliques[bestIdx], workers)
 	for _, sub := range bestResidual {
 		if child := b.build(sub, workers); child != nil {
 			node.Children = append(node.Children, child)
@@ -755,12 +729,17 @@ func (b *treeBuilder) build(comp []int, workers []*core.Worker) *TreeNode {
 	return node
 }
 
-// installWorkers appends ws to the worker arena and returns the span as a
-// capacity-capped slice (nothing can append through it into the arena).
-func (b *treeBuilder) installWorkers(ws ...*core.Worker) []*core.Worker {
+// installWorkers appends the workers of the given vertices to the worker
+// arena, sorted by id, and returns the span as a capacity-capped slice
+// (nothing can append through it into the arena).
+func (b *treeBuilder) installWorkers(vs []int, workers []*core.Worker) []*core.Worker {
 	start := len(b.warena)
-	b.warena = append(b.warena, ws...)
-	return b.warena[start:len(b.warena):len(b.warena)]
+	for _, v := range vs {
+		b.warena = append(b.warena, workers[v])
+	}
+	ws := b.warena[start:len(b.warena):len(b.warena)]
+	slices.SortFunc(ws, func(a, b *core.Worker) int { return a.ID - b.ID })
+	return ws
 }
 
 // residual runs the BFS over comp minus the currently removed vertices and
@@ -782,15 +761,15 @@ func (b *treeBuilder) residual(comp []int, collect bool) (int, [][]int) {
 		var cc []int
 		// Pop via a head index: reslicing the front away would permanently
 		// erode the scratch buffer's capacity and defeat its reuse.
-		b.queue = append(b.queue[:0], int32(s))
+		b.queue = append(b.queue[:0], s)
 		b.seen[s] = true
-		touched = append(touched, int32(s))
+		touched = append(touched, s)
 		for head := 0; head < len(b.queue); head++ {
 			v := b.queue[head]
 			if collect {
-				cc = append(cc, int(v))
+				cc = append(cc, v)
 			}
-			for _, u := range b.nbrs[b.offs[v]:b.offs[v+1]] {
+			for _, u := range b.g.Neighbors(v) {
 				if b.inComp[u] && !b.removed[u] && !b.seen[u] {
 					b.seen[u] = true
 					touched = append(touched, u)
