@@ -7,7 +7,7 @@
 //
 //	datawa-serve -addr :8080 -method DTA -shards 4
 //	datawa-serve -method DATA-WA -pretrain yueche -pretrain-scale 0.1
-//	datawa-serve -max-open-tasks 5000 -epoch-budget 0.05 -trace-depth 256 -pprof
+//	datawa-serve -max-open-tasks 5000 -epoch-budget 0.05 -span-depth 256 -pprof
 //
 // API (see internal/dispatch.Handler for the wire formats):
 //
@@ -18,7 +18,6 @@
 //	POST /v1/tasks/cancel       cancel task       {id}
 //	GET  /v1/plan?worker=ID     current schedule
 //	GET  /v1/metrics            snapshot (JSON)
-//	GET  /v1/trace?n=K          epoch trace ring (needs -trace-depth)
 //	GET  /v1/trace.json?n=K     Chrome trace-event JSON of stage spans (needs -span-depth)
 //	GET  /v1/tasks/{id}/history task lifecycle ledger chain (needs -ledger-tasks)
 //	GET  /v1/flight             flight-recorder dumps (needs -flight-depth)
@@ -85,7 +84,6 @@ func main() {
 		budget     = flag.Float64("epoch-budget", 0, "SLA governor: per-shard epoch wall-time budget in seconds; over-budget p95 demotes the shard's planner down the ladder (0 = governor off)")
 		govWindow  = flag.Int("governor-window", 0, "SLA governor: epochs in the p95 cost window (0 = default 16)")
 		govDwell   = flag.Int("governor-dwell", 0, "SLA governor: minimum epochs between two tier transitions of one shard (0 = default 8)")
-		traceDepth = flag.Int("trace-depth", 0, "epoch trace ring depth served at /v1/trace (0 = off)")
 		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
 
 		spanDepth   = flag.Int("span-depth", 0, "stage-span ring depth in epochs served at /v1/trace.json (0 = off)")
@@ -152,7 +150,6 @@ func main() {
 		Governor: datawa.GovernorConfig{
 			Budget: *budget, Window: *govWindow, Dwell: *govDwell,
 		},
-		TraceDepth: *traceDepth,
 		Obs: datawa.ObsConfig{
 			Spans: *spanDepth, LedgerTasks: *ledgerTasks,
 			FlightDepth: *flightDepth, FlightDir: *flightDir,

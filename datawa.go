@@ -475,8 +475,6 @@ type DispatchConfig struct {
 	HaloRadius float64
 	// QueueSize bounds the ingest queue (default 4096).
 	QueueSize int
-	// LatencyWindow sizes the epoch-latency percentile window (default 1024).
-	LatencyWindow int
 	// Admission bounds the ingest path (shed/defer by deadline when
 	// saturated); the zero value admits everything. See
 	// dispatch.AdmissionConfig.
@@ -486,9 +484,6 @@ type DispatchConfig struct {
 	// reachability-only Match) when its windowed p95 epoch cost exceeds
 	// the budget, recovering hysteretically. See dispatch.GovernorConfig.
 	Governor GovernorConfig
-	// TraceDepth retains the last N per-epoch trace records for the
-	// operability endpoints (0 = off).
-	TraceDepth int
 	// Obs enables the observability core: stage spans (GET /v1/trace.json),
 	// the per-task lifecycle ledger (GET /v1/tasks/{id}/history), and the
 	// flight recorder (GET /v1/flight). The epoch/stage wall-time histograms
@@ -516,18 +511,16 @@ func (f *Framework) NewDispatcher(m Method, dc DispatchConfig) (*Dispatcher, err
 		return nil, fmt.Errorf("datawa: %d shards require a non-empty Config.Region", dc.Shards)
 	}
 	cfg := dispatch.Config{
-		Shards:        dc.Shards,
-		HaloRadius:    dc.HaloRadius,
-		Step:          dc.Step,
-		Now:           dc.Now,
-		QueueSize:     dc.QueueSize,
-		LatencyWindow: dc.LatencyWindow,
-		Admission:     dc.Admission,
-		Governor:      dc.Governor,
-		TraceDepth:    dc.TraceDepth,
-		Obs:           dc.Obs,
-		Travel:        f.travel,
-		Parallelism:   f.cfg.Parallelism,
+		Shards:      dc.Shards,
+		HaloRadius:  dc.HaloRadius,
+		Step:        dc.Step,
+		Now:         dc.Now,
+		QueueSize:   dc.QueueSize,
+		Admission:   dc.Admission,
+		Governor:    dc.Governor,
+		Obs:         dc.Obs,
+		Travel:      f.travel,
+		Parallelism: f.cfg.Parallelism,
 	}
 	if cfg.Step <= 0 {
 		cfg.Step = f.cfg.Step

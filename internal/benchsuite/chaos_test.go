@@ -2,8 +2,10 @@ package benchsuite
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/dispatch"
@@ -138,8 +140,10 @@ func TestFlashFloodDegradesAndRecovers(t *testing.T) {
 
 // TestStalledShardDemotesInIsolation pins the governor's per-shard scope on
 // the archetype built for it: with every task pinned to one shard band, the
-// epoch trace must show the hot shard over budget and demoted while at least
-// one idle sibling never leaves the full planner.
+// stage spans must show the hot shard over budget and demoted while at least
+// one idle sibling never leaves the full planner. Each shard's step span
+// carries the tier it planned at and its pool sizes, and the epoch's cost is
+// the governor's own cost function of those inputs.
 func TestStalledShardDemotesInIsolation(t *testing.T) {
 	arch, ok := scenario.Get("stalled-shard")
 	if !ok {
@@ -151,30 +155,42 @@ func TestStalledShardDemotesInIsolation(t *testing.T) {
 		GridRows: sc.Config.GridRows, GridCols: sc.Config.GridCols,
 		Step: 2, Seed: sc.Config.Seed, MaxSearchNodes: 4000,
 	})
-	dc := datawa.DispatchConfig{Shards: 4, Step: 2, Now: sc.T0, TraceDepth: 4096}
+	const shards = 4
+	dc := datawa.DispatchConfig{Shards: shards, Step: 2, Now: sc.T0, Obs: datawa.ObsConfig{Spans: 4096}}
 	applyOverload(&dc, arch.Overload)
 	d, err := fw.NewDispatcher(datawa.MethodDTA, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dispatch.LoadGen{Events: sc.Events(), T1: sc.T1}.Run(d)
-	trace := d.Trace(0)
+	trace := d.SpanTrace(0)
 	if len(trace) == 0 {
-		t.Fatal("TraceDepth is set but no epoch trace records were retained")
+		t.Fatal("ObsConfig.Spans is set but no epoch spans were retained")
 	}
-	demoted := make([]bool, 4)
-	overBudget := make([]bool, 4)
+	demoted := make([]bool, shards)
+	overBudget := make([]bool, shards)
 	for _, e := range trace {
-		if len(e.Shards) != 4 {
-			t.Fatalf("epoch %d trace has %d shards, want 4", e.Epoch, len(e.Shards))
-		}
-		for i, s := range e.Shards {
-			if s.Tier > 0 {
+		steps := 0
+		for _, sp := range e.Spans {
+			if sp.Name != "step" || sp.Track == 0 {
+				continue // track 0's step span is the whole parallel stage
+			}
+			steps++
+			i := sp.Track - 1
+			var workers, open, tier int
+			var planner string
+			if _, err := fmt.Sscanf(sp.Detail, "workers=%d open=%d tier=%d planner=%s", &workers, &open, &tier, &planner); err != nil {
+				t.Fatalf("epoch %d shard %d step detail %q: %v", e.Epoch, i, sp.Detail, err)
+			}
+			if tier > 0 {
 				demoted[i] = true
 			}
-			if s.Cost > arch.Overload.BudgetUnits {
+			if dc.Governor.Cost(i, time.Duration(sp.DurNS), workers, open) > arch.Overload.BudgetUnits {
 				overBudget[i] = true
 			}
+		}
+		if steps != shards {
+			t.Fatalf("epoch %d has %d step spans, want %d", e.Epoch, steps, shards)
 		}
 	}
 	hot, idle := 0, 0

@@ -141,9 +141,6 @@ type Config struct {
 	// shard's windowed p95 epoch cost is held under the budget by stepping
 	// that shard down the ladder, recovering hysteretically.
 	Governor GovernorConfig
-	// TraceDepth retains the last N per-epoch trace records for the
-	// operability endpoints (0 = tracing off).
-	TraceDepth int
 	// Obs configures the observability core — stage spans, the per-task
 	// lifecycle ledger, and the flight recorder (see ObsConfig). The epoch
 	// and stage wall-time histograms are always on.
@@ -168,18 +165,11 @@ type Config struct {
 	// pending-buffer growth (Metrics.QueueDepth) and epoch latency, not as
 	// lost events.
 	QueueSize int
-	// SingleQueue selects the legacy single-channel ingest queue instead of
-	// the default sharded-by-cell lock-free rings. Event application order —
-	// and therefore all assignment state — is identical either way for any
-	// serialized event stream: events are globally sequenced and the pending
-	// heap replays them by (time, sequence) regardless of queue shape. The
-	// knob exists so the property tests and BenchmarkIngest can compare the
-	// two paths like-for-like.
-	SingleQueue bool
-	// LatencyWindow is how many recent epoch latencies feed the percentile
-	// snapshot (default 1024).
-	LatencyWindow int
 }
+
+// latencyWindow is how many recent epoch latencies feed Snapshot's
+// percentiles.
+const latencyWindow = 1024
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -193,9 +183,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 4096
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
 	}
 	return c
 }
@@ -275,7 +262,7 @@ type Metrics struct {
 	PlanCalls int           `json:"plan_calls"`
 	PlanTime  time.Duration `json:"plan_time_ns"`
 	// EpochP50/P95/P99 are epoch wall-latency percentiles over the last
-	// LatencyWindow epochs.
+	// 1024 epochs (latencyWindow).
 	EpochP50 time.Duration `json:"epoch_p50_ns"`
 	EpochP95 time.Duration `json:"epoch_p95_ns"`
 	EpochP99 time.Duration `json:"epoch_p99_ns"`
@@ -287,12 +274,8 @@ type Metrics struct {
 // (from any goroutine), and advance its epoch clock either manually (Advance,
 // Tick — deterministic, used by tests and LoadGen) or on wall time (Serve).
 type Dispatcher struct {
-	cfg Config
-	// Exactly one of rings/queue is the live ingest buffer: the sharded
-	// lock-free rings by default, the legacy channel under
-	// Config.SingleQueue.
-	rings *shardedQueue
-	queue chan Event
+	cfg   Config
+	rings *shardedQueue // the ingest buffer: one lock-free ring per shard
 
 	ingested   atomic.Int64
 	applied    atomic.Int64
@@ -336,8 +319,8 @@ type Dispatcher struct {
 	deferred   int64      // guarded by mu
 	victims    victimHeap // guarded by mu
 	// Governor state: gov is nil when disabled; tiered holds each shard's
-	// ladder dispatcher; costs/preWorkers/preOpen/shardWall are per-tick
-	// scratch, allocated once.
+	// ladder dispatcher. costs (governor only) and preWorkers/preOpen/
+	// shardWall (governor or spans) are per-tick scratch, allocated once.
 	gov        *Governor        // guarded by mu
 	tiered     []*tieredPlanner // guarded by mu
 	costFn     CostFunc         // guarded by mu
@@ -345,7 +328,6 @@ type Dispatcher struct {
 	preWorkers []int            // guarded by mu
 	preOpen    []int            // guarded by mu
 	shardWall  []time.Duration  // guarded by mu
-	trace      *traceRing       // guarded by mu
 	// ob is the observability core: always non-nil — histograms are always
 	// on; spans/ledger/flight inside it are gated by Config.Obs.
 	ob *obsState // guarded by mu
@@ -375,12 +357,8 @@ func New(cfg Config) *Dispatcher {
 		taskOf: make(map[int]int),
 		ghosts: make(map[int][]int),
 		clock:  cfg.Now,
-		lat:    newLatencyRing(cfg.LatencyWindow),
-	}
-	if cfg.SingleQueue {
-		d.queue = make(chan Event, cfg.QueueSize)
-	} else {
-		d.rings = newShardedQueue(cfg.Shards, cfg.QueueSize)
+		lat:    newLatencyRing(latencyWindow),
+		rings:  newShardedQueue(cfg.Shards, cfg.QueueSize),
 	}
 	d.synthID.Store(syntheticIDBase)
 	d.ob = newObsState(cfg.Obs, cfg.Shards)
@@ -445,11 +423,10 @@ func New(cfg Config) *Dispatcher {
 		d.gov = NewGovernor(cfg.Governor, cfg.Shards, len(d.tiered[0].ladder))
 	}
 	d.costFn = cfg.Governor.withDefaults().Cost
-	if cfg.TraceDepth > 0 {
-		d.trace = newTraceRing(cfg.TraceDepth)
-	}
-	if d.gov != nil || d.trace != nil || d.ob.spans != nil {
+	if d.gov != nil {
 		d.costs = make([]float64, cfg.Shards)
+	}
+	if d.gov != nil || d.ob.spans != nil {
 		d.preWorkers = make([]int, cfg.Shards)
 		d.preOpen = make([]int, cfg.Shards)
 		d.shardWall = make([]time.Duration, cfg.Shards)
@@ -470,34 +447,19 @@ func (d *Dispatcher) Now() float64 {
 // concurrent use. When the queue is full the caller spills the backlog into
 // the pending buffer itself (taking the epoch lock), so a single goroutine
 // can enqueue arbitrarily many events without an intervening epoch. The fast
-// path on the default sharded queue is one atomic counter increment plus one
-// ring CAS — no lock, and no contention between producers in different
-// regions.
+// path is one atomic counter increment plus one ring CAS — no lock, and no
+// contention between producers in different regions.
 func (d *Dispatcher) Ingest(ev Event) {
-	if d.rings != nil {
-		se := stampedEvent{ev: ev, seq: d.seqCtr.Add(1)}
-		if !d.laneOf(ev).tryPush(se) {
-			// Full lane: spill everything queued into the pending heap and
-			// place this event there directly — never dropped, never blocked.
-			d.mu.Lock()
-			d.drainLocked()
-			d.pending.push(pendingEvent{ev: se.ev, seq: se.seq})
-			d.mu.Unlock()
-		}
-		d.ingested.Add(1)
-		return
+	se := stampedEvent{ev: ev, seq: d.seqCtr.Add(1)}
+	if !d.laneOf(ev).tryPush(se) {
+		// Full lane: spill everything queued into the pending heap and place
+		// this event there directly — never dropped, never blocked.
+		d.mu.Lock()
+		d.drainLocked()
+		d.pending.push(pendingEvent{ev: se.ev, seq: se.seq})
+		d.mu.Unlock()
 	}
-	for {
-		select {
-		case d.queue <- ev:
-			d.ingested.Add(1)
-			return
-		default:
-			d.mu.Lock()
-			d.drainLocked()
-			d.mu.Unlock()
-		}
-	}
+	d.ingested.Add(1)
 }
 
 // WorkerOnline admits a worker at the next epoch.
@@ -681,10 +643,9 @@ func (d *Dispatcher) tickLocked() {
 	ranForecast, virtuals := d.forecastLocked(t)
 	o.observe(stageForecast, t0, virtuals, "", ranForecast)
 
-	// Pool sizes at the planning instant feed the governor's cost function,
-	// the epoch trace, and the per-shard span details; captured before the
-	// Step mutates them.
-	instrument := d.gov != nil || d.trace != nil || o.spans != nil
+	// Pool sizes at the planning instant feed the governor's cost function
+	// and the per-shard span details; captured before the Step mutates them.
+	instrument := d.gov != nil || o.spans != nil
 	if instrument {
 		for i, m := range d.shards {
 			d.preWorkers[i] = m.Workers()
@@ -713,12 +674,14 @@ func (d *Dispatcher) tickLocked() {
 	if o.shardSpan != nil {
 		// Per-shard spans were written into disjoint slots inside the
 		// parallel region; merge them in shard order with deterministic
-		// logical detail (the tier the epoch planned at, pool sizes).
+		// logical detail (pool sizes, and the tier and planner the epoch
+		// planned at).
 		for i := range o.shardSpan {
 			sp := o.shardSpan[i]
 			sp.N = d.preOpen[i]
 			if d.tiered != nil {
-				sp.Detail = fmt.Sprintf("workers=%d open=%d tier=%d", d.preWorkers[i], d.preOpen[i], d.tiered[i].tier)
+				sp.Detail = fmt.Sprintf("workers=%d open=%d tier=%d planner=%s",
+					d.preWorkers[i], d.preOpen[i], d.tiered[i].tier, d.tiered[i].Name())
 			} else {
 				sp.Detail = fmt.Sprintf("workers=%d open=%d", d.preWorkers[i], d.preOpen[i])
 			}
@@ -758,34 +721,15 @@ func (d *Dispatcher) tickLocked() {
 		}
 	}
 
-	if instrument {
-		for i := range d.shards {
-			d.costs[i] = d.costFn(i, d.shardWall[i], d.preWorkers[i], d.preOpen[i])
-		}
-	}
 	if d.gov != nil {
 		// Governor decisions apply from the next epoch: the tier is set
 		// after this epoch's Step, under the same lock the next Step plans
-		// under, so every shard's planner is fixed for a whole epoch.
+		// under, so every shard's planner is fixed for a whole epoch. The
+		// cost is a function of the shard's step span inputs alone.
 		for i := range d.shards {
+			d.costs[i] = d.costFn(i, d.shardWall[i], d.preWorkers[i], d.preOpen[i])
 			d.tiered[i].setTier(d.gov.Observe(i, d.costs[i]))
 		}
-	}
-	if d.trace != nil {
-		rec := EpochTrace{Epoch: d.epochs, Now: t, WallNS: wall.Nanoseconds(),
-			Shards: make([]ShardTrace, len(d.shards))}
-		for i := range d.shards {
-			st := ShardTrace{
-				Workers: d.preWorkers[i], Open: d.preOpen[i],
-				Cost: d.costs[i], WallNS: d.shardWall[i].Nanoseconds(),
-			}
-			if d.tiered != nil {
-				st.Tier = d.tiered[i].tier
-				st.TierName = d.tiered[i].Name()
-			}
-			rec.Shards[i] = st
-		}
-		d.trace.add(rec)
 	}
 	if o.spans != nil {
 		o.spans.Add(obs.EpochSpans{Epoch: o.epoch, Now: t, Spans: append([]obs.Span(nil), o.cur...)})
@@ -963,36 +907,24 @@ func (d *Dispatcher) forecastLocked(t float64) (bool, int) {
 }
 
 // drainLocked moves queued events into the pending heap without blocking,
-// returning how many it moved. Sharded lanes carry their enqueue-time
-// sequence numbers; the legacy channel stamps at drain. Either way the heap
-// orders events by (time, sequence), so queue shape never changes what an
-// epoch sees.
+// returning how many it moved. Events carry their enqueue-time sequence
+// numbers and the heap orders them by (time, sequence), so lane interleaving
+// never changes what an epoch sees.
 //
 //datawa:locked(mu)
 func (d *Dispatcher) drainLocked() int {
 	n := 0
-	if d.rings != nil {
-		for _, l := range d.rings.lanes {
-			for {
-				se, ok := l.pop()
-				if !ok {
-					break
-				}
-				d.pending.push(pendingEvent{ev: se.ev, seq: se.seq})
-				n++
+	for _, l := range d.rings.lanes {
+		for {
+			se, ok := l.pop()
+			if !ok {
+				break
 			}
-		}
-		return n
-	}
-	for {
-		select {
-		case ev := <-d.queue:
-			d.pending.push(pendingEvent{ev: ev, seq: d.seqCtr.Add(1)})
+			d.pending.push(pendingEvent{ev: se.ev, seq: se.seq})
 			n++
-		default:
-			return n
 		}
 	}
+	return n
 }
 
 // applyDueLocked folds every pending event with Time ≤ t into shard state,
@@ -1160,7 +1092,7 @@ func (d *Dispatcher) Snapshot() Metrics {
 		Ingested:        d.ingested.Load(),
 		Applied:         d.applied.Load(),
 		Unroutable:      d.unroutable.Load(),
-		QueueDepth:      d.queueDepthLocked() + len(d.pending),
+		QueueDepth:      d.rings.depth() + len(d.pending),
 		RoutedWorkers:   len(d.owner),
 		RoutedTasks:     len(d.taskOf),
 		RoutedGhosts:    len(d.ghosts),
@@ -1208,7 +1140,7 @@ func (d *Dispatcher) Quiesce(maxEpochs int) bool {
 	for i := 0; i <= maxEpochs; i++ {
 		d.mu.Lock()
 		d.drainLocked()
-		done := d.queueDepthLocked() == 0 && len(d.pending) == 0 && len(d.taskOf) == 0
+		done := d.rings.depth() == 0 && len(d.pending) == 0 && len(d.taskOf) == 0
 		if done && d.gov != nil {
 			for s := range d.shards {
 				if d.gov.TierOf(s) != 0 {
@@ -1226,15 +1158,6 @@ func (d *Dispatcher) Quiesce(maxEpochs int) bool {
 		}
 	}
 	return false
-}
-
-// queueDepthLocked is the current ingest-buffer backlog, whichever queue
-// shape is live.
-func (d *Dispatcher) queueDepthLocked() int {
-	if d.rings != nil {
-		return d.rings.depth()
-	}
-	return len(d.queue)
 }
 
 // nextSyntheticID allocates a server-assigned task id, above every

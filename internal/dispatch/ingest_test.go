@@ -11,8 +11,8 @@ import (
 )
 
 // replayShape replays the scenario trace with explicit control over the
-// ingest-queue shape and transport, returning the final snapshot.
-func replayShape(sc *workload.Scenario, parallelism int, single bool, queueSize int, stream bool, batch int) Metrics {
+// ingest transport, returning the final snapshot.
+func replayShape(sc *workload.Scenario, parallelism int, stream bool, batch int) Metrics {
 	d := New(Config{
 		Shards:      4,
 		Grid:        sc.Grid,
@@ -21,66 +21,58 @@ func replayShape(sc *workload.Scenario, parallelism int, single bool, queueSize 
 		Travel:      travel,
 		NewPlanner:  searchFactory(),
 		Parallelism: parallelism,
-		SingleQueue: single,
-		QueueSize:   queueSize,
 	})
 	return LoadGen{Events: sc.Events(), T1: sc.T1, Stream: stream, Batch: batch}.Run(d).Metrics
 }
 
-// TestQueueShapeEquivalence is the sharded-queue property test's sequential
-// half: for one event stream, the sharded lock-free queue and the legacy
-// single channel must produce byte-identical snapshots at every parallelism
-// level. Lane routing spreads contention; the (Time, seq) pending order — not
-// lane interleaving — decides what the epochs see.
-func TestQueueShapeEquivalence(t *testing.T) {
-	sc := testScenario(t)
-	ref := digest(replayShape(sc, 1, true, 0, false, 0))
-	for _, parallelism := range []int{1, 4, 0} {
-		sharded := digest(replayShape(sc, parallelism, false, 0, false, 0))
-		if sharded != ref {
-			t.Fatalf("parallelism %d: sharded queue diverged from channel:\n got %s\nwant %s",
-				parallelism, sharded, ref)
-		}
-	}
-}
-
-// TestQueueSpillEquivalence drives both queue shapes through the full-queue
-// spill-to-pending branch: a queue sized far below the burst forces every
-// producer past the ring/channel into the pending heap, and the outcome must
-// still match an amply-sized queue exactly. QueueSize 8 clamps the sharded
-// queue to its 64-slot lane minimum, so the 500-event single-cell burst
-// overflows the one lane it routes to by ~8x.
+// TestQueueSpillEquivalence drives the ingest rings through the full-ring
+// spill-to-pending branch: a queue sized far below the burst forces the
+// producer past its lane into the pending heap, and the outcome must still
+// match an amply-sized queue exactly. QueueSize 8 clamps each lane to its
+// 64-slot minimum, so a 500-event burst overflows by ~8x. The burst either
+// lands in one shard's band (one lane spills) or alternates between both
+// bands (both lanes spill, and each spill drains the other lane too).
 func TestQueueSpillEquivalence(t *testing.T) {
-	run := func(single bool, queueSize int) Metrics {
+	hot := geo.Point{X: 3}       // cell 1: shard 0's band
+	far := geo.Point{X: 3, Y: 5} // cell 7: shard 1's band
+	run := func(bothLanes bool, queueSize int) Metrics {
 		d := New(Config{
 			Shards: 2, Grid: geo.NewGrid(geo.Rect{MaxX: 6, MaxY: 6}, 3, 3), Step: 1,
-			Travel: travel, NewPlanner: greedyFactory(),
-			SingleQueue: single, QueueSize: queueSize,
+			Travel: travel, NewPlanner: greedyFactory(), QueueSize: queueSize,
 		})
+		if d.shardOf(hot) == d.shardOf(far) {
+			t.Fatal("burst locations share a shard; the two-lane case would spill one lane")
+		}
 		d.Ingest(Event{Time: 0, Kind: KindWorkerOnline,
-			Worker: &core.Worker{ID: 1, Loc: geo.Point{X: 3}, Reach: 1, On: 0, Off: 1000}})
+			Worker: &core.Worker{ID: 1, Loc: hot, Reach: 1, On: 0, Off: 1000}})
+		if bothLanes {
+			d.Ingest(Event{Time: 0, Kind: KindWorkerOnline,
+				Worker: &core.Worker{ID: 2, Loc: far, Reach: 1, On: 0, Off: 1000}})
+		}
 		const n = 500
 		for i := 0; i < n; i++ {
+			loc := hot
+			if bothLanes && i%2 == 1 {
+				loc = far
+			}
 			d.Ingest(Event{Time: 0, Kind: KindTaskSubmit,
-				Task: &core.Task{ID: i + 1, Loc: geo.Point{X: 3}, Pub: 0, Exp: 40, Cell: -1}})
+				Task: &core.Task{ID: i + 1, Loc: loc, Pub: 0, Exp: 40, Cell: -1}})
 		}
 		if !d.Quiesce(1000) {
 			t.Fatal("dispatcher failed to quiesce")
 		}
 		return d.Snapshot()
 	}
-	ref := digest(run(true, 4096))
 	for _, tc := range []struct {
 		name      string
-		single    bool
-		queueSize int
+		bothLanes bool
 	}{
-		{"sharded/spill", false, 8},
-		{"sharded/ample", false, 4096},
-		{"channel/spill", true, 8},
+		{"one-lane", false},
+		{"both-lanes", true},
 	} {
-		if got := digest(run(tc.single, tc.queueSize)); got != ref {
-			t.Fatalf("%s diverged:\n got %s\nwant %s", tc.name, got, ref)
+		ref := digest(run(tc.bothLanes, 4096))
+		if got := digest(run(tc.bothLanes, 8)); got != ref {
+			t.Fatalf("%s spill diverged from the ample queue:\n got %s\nwant %s", tc.name, got, ref)
 		}
 	}
 }
@@ -90,7 +82,7 @@ func TestQueueSpillEquivalence(t *testing.T) {
 // outcome. Each event carries a globally unique time, so the pending heap's
 // (Time, seq) order is a pure function of the trace regardless of which
 // producer's push lands first — and the post-Quiesce snapshot must equal the
-// sequential single-channel replay of the same stream, run after run. The
+// sequential single-producer replay of the same stream, run after run. The
 // queue is sized to force concurrent spill-to-pending on top of ring pushes.
 func TestConcurrentProducersDeterministic(t *testing.T) {
 	sc := testScenario(t)
@@ -103,11 +95,10 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 		// bucketing is unchanged.
 		events[i].Time += float64(i) * 1e-6
 	}
-	run := func(producers int, single bool, queueSize int) Metrics {
+	run := func(producers int, queueSize int) Metrics {
 		d := New(Config{
 			Shards: 4, Grid: sc.Grid, Step: 2, Now: sc.T0,
-			Travel: travel, NewPlanner: searchFactory(),
-			SingleQueue: single, QueueSize: queueSize,
+			Travel: travel, NewPlanner: searchFactory(), QueueSize: queueSize,
 		})
 		if producers <= 1 {
 			for _, ev := range events {
@@ -131,12 +122,12 @@ func TestConcurrentProducersDeterministic(t *testing.T) {
 		}
 		return d.Snapshot()
 	}
-	ref := digest(run(1, true, 0))
+	ref := digest(run(1, 0))
 	for run2 := 0; run2 < 2; run2++ {
 		for _, producers := range []int{2, 4, 8} {
-			got := digest(run(producers, false, 64))
+			got := digest(run(producers, 64))
 			if got != ref {
-				t.Fatalf("run %d, %d producers: sharded queue diverged from sequential channel:\n got %s\nwant %s",
+				t.Fatalf("run %d, %d producers: concurrent ingest diverged from the sequential replay:\n got %s\nwant %s",
 					run2, producers, got, ref)
 			}
 		}
@@ -160,10 +151,10 @@ func traceEvent(ev workload.Event) Event {
 // and batch size, including single-event frames.
 func TestTransportEquivalence(t *testing.T) {
 	sc := testScenario(t)
-	ref := digest(replayShape(sc, 1, false, 0, false, 0))
+	ref := digest(replayShape(sc, 1, false, 0))
 	for _, parallelism := range []int{1, 4, 0} {
 		for _, batch := range []int{1, 256} {
-			got := digest(replayShape(sc, parallelism, false, 0, true, batch))
+			got := digest(replayShape(sc, parallelism, true, batch))
 			if got != ref {
 				t.Fatalf("parallelism %d batch %d: stream transport diverged:\n got %s\nwant %s",
 					parallelism, batch, got, ref)

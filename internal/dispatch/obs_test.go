@@ -18,41 +18,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTraceRingWraparound is the wrap-around property for the epoch trace
-// ring: after M adds into a depth-D ring, last(n) must return the newest
-// min(n, min(M, D)) records, oldest first, for every n — including the
-// full/partial boundary and n > retained.
-func TestTraceRingWraparound(t *testing.T) {
-	for _, depth := range []int{1, 2, 3, 7} {
-		for adds := 0; adds <= 3*depth; adds++ {
-			r := newTraceRing(depth)
-			for i := 0; i < adds; i++ {
-				r.add(EpochTrace{Epoch: i, Now: float64(i)})
-			}
-			retained := adds
-			if retained > depth {
-				retained = depth
-			}
-			for _, n := range []int{0, 1, depth - 1, depth, depth + 3, -1} {
-				got := r.last(n)
-				want := retained
-				if n > 0 && n < want {
-					want = n
-				}
-				if len(got) != want {
-					t.Fatalf("depth=%d adds=%d last(%d): %d records, want %d", depth, adds, n, len(got), want)
-				}
-				for j, e := range got {
-					exp := adds - want + j
-					if e.Epoch != exp {
-						t.Fatalf("depth=%d adds=%d last(%d)[%d]: epoch %d, want %d (not oldest-first)", depth, adds, n, j, e.Epoch, exp)
-					}
-				}
-			}
-		}
-	}
-}
-
 // promFamily is one metric family seen in a /metrics scrape.
 type promFamily struct {
 	typ    string
@@ -461,9 +426,12 @@ func TestObsLogicalDeterminism(t *testing.T) {
 }
 
 // TestChromeTraceEndpoint validates /v1/trace.json against the Chrome
-// trace-event schema: displayTimeUnit, one thread_name metadata event per
+// trace-event schema — displayTimeUnit, one thread_name metadata event per
 // track, and complete ("X") events carrying ts/dur/pid/tid plus the logical
-// epoch in args.
+// epoch in args — and pins its query surface: ?n=K keeps exactly the K
+// newest epochs, a malformed or negative n is a 400, and a dispatcher with
+// span recording off still serves valid JSON with its track metadata and no
+// complete events.
 func TestChromeTraceEndpoint(t *testing.T) {
 	cfg := handoffConfig(2, 0)
 	cfg.Obs = ObsConfig{Spans: 16}
@@ -474,63 +442,89 @@ func TestChromeTraceEndpoint(t *testing.T) {
 	d.SubmitTask(&core.Task{ID: 10, Loc: geo.Point{X: 1, Y: 2.1}, Pub: 0, Exp: 600, Cell: -1})
 	d.Advance(5)
 
-	resp, err := http.Get(srv.URL + "/v1/trace.json?n=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
-		t.Fatalf("GET /v1/trace.json: status %d, content type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	var trace struct {
-		DisplayTimeUnit string           `json:"displayTimeUnit"`
-		TraceEvents     []map[string]any `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
-		t.Fatalf("trace.json is not valid JSON: %v", err)
-	}
-	if trace.DisplayTimeUnit != "ms" {
-		t.Fatalf("displayTimeUnit %q, want ms", trace.DisplayTimeUnit)
-	}
-	meta := map[string]bool{}
-	complete := 0
-	for _, ev := range trace.TraceEvents {
-		switch ev["ph"] {
-		case "M":
-			if ev["name"] != "thread_name" {
-				t.Fatalf("metadata event %v is not thread_name", ev)
-			}
-			meta[ev["args"].(map[string]any)["name"].(string)] = true
-		case "X":
-			complete++
-			for _, key := range []string{"name", "ts", "dur", "pid", "tid", "args"} {
-				if _, ok := ev[key]; !ok {
-					t.Fatalf("complete event %v lacks %q", ev, key)
+	// getTrace fetches and schema-checks one trace, returning how many
+	// complete events it carries per logical epoch.
+	getTrace := func(srv *httptest.Server, query string) map[int]int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/trace.json" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("GET /v1/trace.json%s: status %d, content type %q", query, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		var trace struct {
+			DisplayTimeUnit string           `json:"displayTimeUnit"`
+			TraceEvents     []map[string]any `json:"traceEvents"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
+			t.Fatalf("trace.json%s is not valid JSON: %v", query, err)
+		}
+		if trace.DisplayTimeUnit != "ms" {
+			t.Fatalf("displayTimeUnit %q, want ms", trace.DisplayTimeUnit)
+		}
+		tracks, epochs := map[string]bool{}, map[int]int{}
+		for _, ev := range trace.TraceEvents {
+			switch ev["ph"] {
+			case "M":
+				if ev["name"] != "thread_name" {
+					t.Fatalf("metadata event %v is not thread_name", ev)
 				}
+				tracks[ev["args"].(map[string]any)["name"].(string)] = true
+			case "X":
+				for _, key := range []string{"name", "ts", "dur", "pid", "tid", "args"} {
+					if _, ok := ev[key]; !ok {
+						t.Fatalf("complete event %v lacks %q", ev, key)
+					}
+				}
+				epoch, ok := ev["args"].(map[string]any)["epoch"].(float64)
+				if !ok {
+					t.Fatalf("complete event %v lacks args.epoch", ev)
+				}
+				epochs[int(epoch)]++
+			default:
+				t.Fatalf("unexpected event phase %v", ev["ph"])
 			}
-			if _, ok := ev["args"].(map[string]any)["epoch"]; !ok {
-				t.Fatalf("complete event %v lacks args.epoch", ev)
+		}
+		for _, track := range []string{"dispatcher", "shard 0", "shard 1"} {
+			if !tracks[track] {
+				t.Fatalf("no thread_name metadata for track %q (have %v)", track, tracks)
 			}
-		default:
-			t.Fatalf("unexpected event phase %v", ev["ph"])
 		}
-	}
-	for _, track := range []string{"dispatcher", "shard 0", "shard 1"} {
-		if !meta[track] {
-			t.Fatalf("no thread_name metadata for track %q (have %v)", track, meta)
-		}
-	}
-	if complete == 0 {
-		t.Fatal("trace has no complete events")
+		return epochs
 	}
 
-	resp, err = http.Get(srv.URL + "/v1/trace.json?n=bogus")
-	if err != nil {
-		t.Fatal(err)
+	all := getTrace(srv, "")
+	if len(all) == 0 {
+		t.Fatal("trace has no complete events")
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("GET /v1/trace.json?n=bogus: status %d, want 400", resp.StatusCode)
+	newest := -1
+	for e := range all {
+		newest = max(newest, e)
+	}
+	tail := getTrace(srv, "?n=2")
+	if len(tail) != 2 || tail[newest] == 0 || tail[newest-1] == 0 {
+		t.Fatalf("?n=2 covers epochs %v, want exactly the newest two (%d, %d)", tail, newest-1, newest)
+	}
+
+	for _, q := range []string{"?n=bogus", "?n=-1"} {
+		resp, err := http.Get(srv.URL + "/v1/trace.json" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("GET /v1/trace.json%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+
+	off := New(handoffConfig(2, 0))
+	off.Advance(5)
+	srvOff := httptest.NewServer(NewHandler(off))
+	defer srvOff.Close()
+	if epochs := getTrace(srvOff, ""); len(epochs) != 0 {
+		t.Fatalf("spans-off trace has complete events for epochs %v, want none", epochs)
 	}
 }
 

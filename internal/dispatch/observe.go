@@ -33,8 +33,6 @@ type ObsConfig struct {
 	// FlightDir, when non-empty, writes each dump to
 	// <FlightDir>/flight-<epoch>-<reason>.json as it is captured.
 	FlightDir string
-	// FlightMax bounds the retained dump ring (default 8).
-	FlightMax int
 }
 
 func (c ObsConfig) withDefaults() ObsConfig {
@@ -45,9 +43,6 @@ func (c ObsConfig) withDefaults() ObsConfig {
 		if c.LedgerTasks <= 0 {
 			c.LedgerTasks = 8192
 		}
-	}
-	if c.FlightMax <= 0 {
-		c.FlightMax = 8
 	}
 	return c
 }
@@ -67,6 +62,9 @@ const (
 )
 
 var stageNames = [numStages]string{"drain", "admission", "reghost", "forecast", "step", "arbitration"}
+
+// flightDumps is how many flight-recorder dumps the ring retains.
+const flightDumps = 8
 
 // obsState is the dispatcher's observability state, mutated only under the
 // epoch lock. The histograms always exist; spans/ledger/flight are nil when
@@ -115,7 +113,7 @@ func newObsState(cfg ObsConfig, shards int) *obsState {
 		o.arbitrated = make(map[int]bool)
 	}
 	if o.cfg.FlightDepth > 0 {
-		o.flight = obs.NewFlightRing(o.cfg.FlightMax)
+		o.flight = obs.NewFlightRing(flightDumps)
 	}
 	return o
 }

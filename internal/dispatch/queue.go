@@ -8,10 +8,10 @@ import (
 // at enqueue time by one atomic counter shared across lanes. The pending
 // heap orders drained events by (Time, seq), so the heap — not lane
 // interleaving — defines the order events apply in; lane routing is purely a
-// contention-spreading decision. For a single producer, enqueue-time
-// stamping assigns exactly the arrival order the legacy channel's drain-time
-// stamping assigned, which is what keeps replays byte-identical across both
-// queue shapes (the property tests pin this).
+// contention-spreading decision. For a single producer the sequence is the
+// arrival order, so events about one entity apply in the order produced;
+// with concurrent producers, events at distinct times apply in time order
+// whichever push lands first (TestConcurrentProducersDeterministic).
 type stampedEvent struct {
 	ev  Event
 	seq int64
@@ -95,7 +95,7 @@ func (l *ingestLane) pop() (stampedEvent, bool) {
 
 // depth is the published-but-unconsumed count. Exact under the epoch lock
 // (no concurrent consumer); a racing producer can make it stale by one, which
-// is no worse than len(chan) was.
+// a backlog gauge tolerates.
 //
 //datawa:hotpath
 func (l *ingestLane) depth() int {
@@ -107,9 +107,9 @@ func (l *ingestLane) depth() int {
 }
 
 // shardedQueue is the ingest queue sharded by grid cell: one lane per shard,
-// so producers for different regions never touch the same cache lines, plus
-// one overflow lane for events that carry no location (offline, cancel)
-// routed by id. Total capacity ≈ QueueSize, split evenly.
+// so producers for different regions never touch the same cache lines;
+// events that carry no location (offline, cancel) spread over the same lanes
+// by id. Total capacity ≈ QueueSize, split evenly.
 type shardedQueue struct {
 	lanes []*ingestLane
 }
